@@ -35,6 +35,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     NoDerivativeError,
+    NonFiniteError,
     NotOnBoundaryError,
     PreconditionError,
     ProjcalcError,

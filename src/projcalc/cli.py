@@ -23,7 +23,7 @@ from .derivatives import nonsmoothness_witness
 from .errors import ProjcalcError
 from .oracle import NotRejected, OracleConfig, test_membership
 from .projections import Ball, Cylinder, PositiveCone
-from .report import render_csv, render_json, _encode
+from .report import encode_json, render_csv, render_json
 from .space import SpaceConfig, norm_primal
 from .suites import SUITE_NAMES, SuiteSpec, run_suite
 
@@ -111,10 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--xstar", required=True, help="JSON array, the candidate")
     orc.add_argument("--ystar", required=True, help="JSON array, the query")
     orc.add_argument("--radii", default=None, help="comma-separated decreasing radii")
-    orc.add_argument("--directions", type=int, default=256)
+    orc.add_argument("--directions", type=int, default=OracleConfig.directions_per_radius)
     orc.add_argument("--oracle-seed", type=int, default=None)
-    orc.add_argument("--reject-threshold", type=float, default=1e-2)
-    orc.add_argument("--accept-threshold", type=float, default=1e-3)
+    orc.add_argument("--reject-threshold", type=float, default=OracleConfig.reject_threshold)
+    orc.add_argument("--accept-threshold", type=float, default=OracleConfig.accept_threshold)
     orc.add_argument("--no-structured-probes", action="store_true")
 
     wit = subs.add_parser("witness", help="nonsmoothness witness search")
@@ -140,6 +140,12 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"invalid suite parameters: {exc}")
     report = run_suite(spec)
+    if args.case is not None and not report.cases:
+        sys.stderr.write(
+            f"error: --case {args.case!r} matches no case that suite {args.suite!r}"
+            " runs at these settings\n"
+        )
+        return 2
     text = render_json(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -166,7 +172,7 @@ def _cmd_oracle(args) -> int:
     if len(xstar) != space.n or len(ystar) != space.n:
         raise SystemExit("point, xstar, and ystar must share one dimension")
     seed = args.oracle_seed if args.oracle_seed is not None else _default_seed()
-    radii = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    radii = OracleConfig.radii
     if args.radii:
         radii = tuple(float(tok) for tok in args.radii.split(","))
     try:
@@ -195,7 +201,7 @@ def _cmd_oracle(args) -> int:
             "witness_quotient": verdict.quotient,
             "max_quotient_per_radius": list(verdict.max_quotient_per_radius),
         }
-    sys.stdout.write(_encode(payload, 0) + "\n")
+    sys.stdout.write(encode_json(payload) + "\n")
     return 0
 
 
@@ -217,19 +223,22 @@ def _cmd_witness(args) -> int:
             "defect": witness.defect,
             "relative_defect": witness.defect / norm_primal(witness.direction),
         }
-    sys.stdout.write(_encode(payload, 0) + "\n")
+    sys.stdout.write(encode_json(payload) + "\n")
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # An overflow surfaces as a NonFiniteError below; numpy's warning would
+    # only print the same fault a second time.
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "witness":
-            return _cmd_witness(args)
+        with np.errstate(over="ignore"):
+            if args.command == "run":
+                return _cmd_run(args)
+            if args.command == "oracle":
+                return _cmd_oracle(args)
+            if args.command == "witness":
+                return _cmd_witness(args)
     except ProjcalcError as exc:
         raise SystemExit(f"error: {exc}")
     raise SystemExit(f"unknown command {args.command!r}")

@@ -6,9 +6,9 @@ the sampled version of that definition). Wherever P has a Fréchet
 derivative, the fiber is the singleton {(grad P(xbar))^T y*}:
 
 * interior points:  {y*}
-* exterior ball:    {(r/||xb||) (y* - <y*, xb>/||xb||^2 J(xb))}
-* exterior cylinder: the same formula through the masked part, plus the
-  untouched unmasked part of y*.
+* exterior cylinder: {(r/||xb_M||) (y*_M - <y*_M, xb_M>/||xb_M||^2 J(xb_M)) + y*_Mbar},
+  the radial formula through the masked part plus the untouched unmasked
+  part of y*. The ball is the cylinder whose mask is every coordinate.
 
 On the boundary the fiber degenerates: the query theta* yields {theta*},
 the query J(xb) yields the empty set, and for any other query the closed
@@ -31,10 +31,13 @@ import numpy as np
 from .decomposition import Anchor, o_star
 from .derivatives import DirectionKind, classify_direction
 from .errors import NotOnBoundaryError, PreconditionError
-from .projections import Ball, Cylinder, RegionKind, classify_region, mask_restrict
+from .projections import Ball, Cylinder, RegionKind, _radial, classify_region
 from .space import (
     DualPoint,
     PrimalPoint,
+    _duality,
+    _norm,
+    _pair,
     duality_map,
     duality_map_inv,
     norm_dual,
@@ -91,26 +94,122 @@ class OrderInterval:
 CoderivResult = Singleton | EmptyFiber | ThetaMembership | OrderInterval
 
 
-def _exterior_singleton(r: float, xm: PrimalPoint, ym: DualPoint, rest: DualPoint) -> DualPoint:
-    nrm = norm_primal(xm)
-    a = pair(ym, xm) / nrm**2
-    return (r / nrm) * (ym - a * duality_map(xm)) + rest
+def _fiber(
+    set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint, band, theta_member
+) -> CoderivResult:
+    """Fiber dispatch shared by the ball and the cylinder; ``theta_member``
+    decides the remaining boundary queries."""
+    sp = xbar.space
+    tag = classify_region(set_, xbar, band)
+    if tag.kind is RegionKind.INTERIOR:
+        return Singleton(value=ystar)
+    if tag.kind is RegionKind.EXTERIOR:
+        r, sel = _radial(set_, sp.n)
+        xm = np.where(sel, xbar.coords, 0.0)
+        ym = np.where(sel, ystar.coords, 0.0)
+        nrm = _norm(xm, sp.weights, sp.p)
+        a = _pair(sp.weights, ym, xm) / nrm**2
+        jm = _duality(xm, sp.p, nrm, sp.theta_tol)
+        return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (ystar.coords - ym)))
+    ny = norm_dual(ystar)
+    if ny <= sp.theta_tol:
+        return Singleton(value=sp.zero_dual())
+    jx = duality_map(xbar)
+    if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
+        return EmptyFiber()
+    return theta_member()
 
 
 def coderiv_ball(r: float, xbar: PrimalPoint, ystar: DualPoint, band: float | None = None) -> CoderivResult:
     """Coderivative fiber of the ball projection at xbar for the query y*."""
-    tag = classify_region(Ball(r), xbar, band)
-    if tag.kind is RegionKind.INTERIOR:
-        return Singleton(value=ystar)
-    if tag.kind is RegionKind.EXTERIOR:
-        return Singleton(value=_exterior_singleton(r, xbar, ystar, xbar.space.zero_dual()))
+    return _fiber(Ball(r), xbar, ystar, band, lambda: sphere_theta_member(r, xbar, ystar, band))
+
+
+def coderiv_cylinder(
+    r: float,
+    mask: frozenset[int],
+    xbar: PrimalPoint,
+    ystar: DualPoint,
+    band: float | None = None,
+) -> CoderivResult:
+    """Coderivative fiber of the cylinder projection at xbar for the query y*."""
+    cyl = Cylinder(r=r, mask=frozenset(mask))
+    return _fiber(
+        cyl, xbar, ystar, band, lambda: cylinder_theta_member(r, cyl.mask, xbar, ystar, band)
+    )
+
+
+# Certificate names (tail, equality, direction, alignment); the ball
+# reports no tail, which vanishes identically under a full mask.
+_BALL_LABELS = (
+    None,
+    "pairing with base point equals -r times dual norm",
+    "reflected candidate -J*(y*) leaves the ball",
+    "y* is a negative multiple of J(xbar)",
+)
+_CYLINDER_LABELS = (
+    "unmasked part of y* vanishes",
+    "masked pairing equals -r times masked dual norm",
+    "masked reflected candidate -(J*(y*))_M leaves the cylinder",
+    "y*_M is a negative multiple of J(xbar_M)",
+)
+
+
+def _theta_member(set_: Ball | Cylinder, xbar, ystar, band, labels, extra=None) -> ThetaMembership:
+    """Theta*-membership at a boundary point of a ball or cylinder.
+
+    Membership holds exactly when the unmasked part of y* vanishes, the
+    masked reflected candidate -(J*(y*))_M points out of the set, and
+    <y*_M, xbar_M> = -r ||y*_M||_q. ``extra(pairing, ||y*||)`` returns further
+    certificates, listed after the direction test.
+    """
+    sp = xbar.space
+    r, sel = _radial(set_, sp.n)
+    if band is None:
+        band = 1e-9 * r
+    xm = np.where(sel, xbar.coords, 0.0)
+    nxm = _norm(xm, sp.weights, sp.p)
+    if abs(nxm - r) > band:
+        raise NotOnBoundaryError("theta*-membership needs a boundary point")
     ny = norm_dual(ystar)
-    if ny <= xbar.space.theta_tol:
-        return Singleton(value=xbar.space.zero_dual())
-    jx = duality_map(xbar)
-    if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
-        return EmptyFiber()
-    return sphere_theta_member(r, xbar, ystar, band)
+    if ny <= sp.theta_tol:
+        raise PreconditionError("the zero query is handled by the fiber dispatch")
+    tail_label, eq_label, dir_label, align_label = labels
+
+    certs: list[ConditionReport] = []
+    ym = np.where(sel, ystar.coords, 0.0)
+    tail = _norm(ystar.coords - ym, sp.weights, sp.q)
+    tail_zero = tail <= QUERY_MATCH_TOL * ny
+    if tail_label is not None:
+        certs.append(ConditionReport(name=tail_label, holds=tail_zero, slack=tail))
+
+    nym = _norm(ym, sp.weights, sp.q)
+    pairing = _pair(sp.weights, ym, xm)
+    eq_slack = pairing + r * nym
+    eq_holds = nym > sp.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
+    certs.append(ConditionReport(name=eq_label, holds=eq_holds, slack=eq_slack))
+
+    cls = classify_direction(set_, xbar, -duality_map_inv(ystar), band)
+    dir_up = cls.kind is DirectionKind.UP
+    certs.append(ConditionReport(name=dir_label, holds=dir_up, slack=cls.slope))
+    if extra is not None:
+        certs += extra(pairing, ny)
+
+    if eq_holds and tail_zero:
+        c = nym / r
+        align = _norm(ym + c * _duality(xm, sp.p, nxm, sp.theta_tol), sp.weights, sp.q)
+        certs.append(ConditionReport(name=align_label, holds=align <= 1e-8 * nym, slack=align))
+
+    slope_band = 1e-12 * max(1.0, ny)
+    if tail_zero and eq_holds and dir_up and cls.slope > slope_band:
+        verdict = Verdict.MEMBER
+    elif tail_zero and eq_holds:
+        # Equality within tolerance but a degenerate (parallel) direction
+        # classification: numerically undecidable.
+        verdict = Verdict.UNDETERMINED
+    else:
+        verdict = Verdict.NOT_MEMBER
+    return ThetaMembership(verdict=verdict, certificates=tuple(certs))
 
 
 def sphere_theta_member(
@@ -125,133 +224,52 @@ def sphere_theta_member(
     any uniformly convex and uniformly smooth norm and the p = 2 parallel
     test.
     """
-    if band is None:
-        band = 1e-9 * r
-    nx = norm_primal(xbar)
-    if abs(nx - r) > band:
-        raise NotOnBoundaryError("theta*-membership is a sphere-point question")
-    ny = norm_dual(ystar)
-    if ny <= xbar.space.theta_tol:
-        raise PreconditionError("the zero query is handled by the fiber dispatch")
 
-    certs: list[ConditionReport] = []
-    anchor = Anchor.at(xbar)
-    pairing = pair(ystar, xbar)
-
-    eq_slack = pairing + r * ny
-    eq_holds = abs(eq_slack) <= ALIGNMENT_TOL * r * ny
-    certs.append(
-        ConditionReport(
-            name="pairing with base point equals -r times dual norm",
-            holds=eq_holds,
-            slack=eq_slack,
-        )
-    )
-
-    v = -duality_map_inv(ystar)
-    cls = classify_direction(Ball(r), xbar, v, band)
-    certs.append(
-        ConditionReport(
-            name="reflected candidate -J*(y*) leaves the ball",
-            holds=cls.kind is DirectionKind.UP,
-            slack=cls.slope,
-        )
-    )
-
-    # Necessary conditions valid beyond p-norm spaces, reported as evidence.
-    certs.append(
-        ConditionReport(
-            name="pairing with base point is nonpositive",
-            holds=pairing <= ALIGNMENT_TOL * r * ny,
-            slack=pairing,
-        )
-    )
-    osy = o_star(anchor, ystar)
-    josy = duality_map_inv(osy)
-    njosy = norm_primal(josy)
-    if njosy <= xbar.space.theta_tol:
+    def uniformly_convex(pairing: float, ny: float) -> list[ConditionReport]:
+        # Necessary conditions valid beyond p-norm spaces, reported as evidence.
+        certs = [
+            ConditionReport(
+                name="pairing with base point is nonpositive",
+                holds=pairing <= ALIGNMENT_TOL * r * ny,
+                slack=pairing,
+            )
+        ]
+        anchor = Anchor.at(xbar)
+        osy = o_star(anchor, ystar)
+        josy = duality_map_inv(osy)
+        njosy = norm_primal(josy)
+        if njosy <= xbar.space.theta_tol:
+            stays, slope, balance = True, 0.0, 0.0
+        else:
+            tcls = classify_direction(Ball(r), xbar, -josy, band)
+            stays, slope = tcls.kind is DirectionKind.DOWN, tcls.slope
+            balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
         certs.append(
             ConditionReport(
                 name="reflected tangential component -J*(o*(y*)) stays in the ball",
-                holds=True,
-                slack=0.0,
+                holds=stays,
+                slack=slope,
             )
         )
-        balance = 0.0
-    else:
-        tcls = classify_direction(Ball(r), xbar, -josy, band)
         certs.append(
             ConditionReport(
-                name="reflected tangential component -J*(o*(y*)) stays in the ball",
-                holds=tcls.kind is DirectionKind.DOWN,
-                slack=tcls.slope,
+                name="tangential balance term is nonpositive",
+                holds=balance <= ALIGNMENT_TOL * max(1.0, ny**2),
+                slack=balance,
             )
         )
-        balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
-    certs.append(
-        ConditionReport(
-            name="tangential balance term is nonpositive",
-            holds=balance <= ALIGNMENT_TOL * max(1.0, ny**2),
-            slack=balance,
-        )
-    )
-
-    if xbar.space.p == 2.0:
-        par_slack = norm_dual(osy)
-        certs.append(
-            ConditionReport(
-                name="hilbert test: y* parallel to base point with negative pairing",
-                holds=par_slack <= 1e-8 * ny and pairing < 0.0,
-                slack=par_slack,
+        if xbar.space.p == 2.0:
+            par_slack = norm_dual(osy)
+            certs.append(
+                ConditionReport(
+                    name="hilbert test: y* parallel to base point with negative pairing",
+                    holds=par_slack <= 1e-8 * ny and pairing < 0.0,
+                    slack=par_slack,
+                )
             )
-        )
+        return certs
 
-    if eq_holds:
-        c = ny / r
-        align = norm_dual(ystar + c * duality_map(xbar))
-        certs.append(
-            ConditionReport(
-                name="y* is a negative multiple of J(xbar)",
-                holds=align <= 1e-8 * ny,
-                slack=align,
-            )
-        )
-
-    slope_band = 1e-12 * max(1.0, ny)
-    if eq_holds and cls.kind is DirectionKind.UP and cls.slope > slope_band:
-        verdict = Verdict.MEMBER
-    elif eq_holds:
-        # Equality within tolerance but a degenerate (parallel) direction
-        # classification: numerically undecidable.
-        verdict = Verdict.UNDETERMINED
-    else:
-        verdict = Verdict.NOT_MEMBER
-    return ThetaMembership(verdict=verdict, certificates=tuple(certs))
-
-
-def coderiv_cylinder(
-    r: float,
-    mask: frozenset[int],
-    xbar: PrimalPoint,
-    ystar: DualPoint,
-    band: float | None = None,
-) -> CoderivResult:
-    """Coderivative fiber of the cylinder projection at xbar for the query y*."""
-    cyl = Cylinder(r=r, mask=frozenset(mask))
-    tag = classify_region(cyl, xbar, band)
-    if tag.kind is RegionKind.INTERIOR:
-        return Singleton(value=ystar)
-    if tag.kind is RegionKind.EXTERIOR:
-        xm = mask_restrict(xbar, cyl.mask)
-        ym = mask_restrict(ystar, cyl.mask)
-        return Singleton(value=_exterior_singleton(r, xm, ym, ystar - ym))
-    ny = norm_dual(ystar)
-    if ny <= xbar.space.theta_tol:
-        return Singleton(value=xbar.space.zero_dual())
-    jx = duality_map(xbar)
-    if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
-        return EmptyFiber()
-    return cylinder_theta_member(r, cyl.mask, xbar, ystar, band)
+    return _theta_member(Ball(r), xbar, ystar, band, _BALL_LABELS, uniformly_convex)
 
 
 def cylinder_theta_member(
@@ -267,71 +285,7 @@ def cylinder_theta_member(
     part of y* vanishes, the masked reflected candidate points out of the
     masked ball, and <y*_M, xbar_M> = -r ||y*_M||_q.
     """
-    cyl = Cylinder(r=r, mask=frozenset(mask))
-    if band is None:
-        band = 1e-9 * r
-    xm = mask_restrict(xbar, cyl.mask)
-    if abs(norm_primal(xm) - r) > band:
-        raise NotOnBoundaryError("theta*-membership needs a boundary point")
-    ny = norm_dual(ystar)
-    if ny <= xbar.space.theta_tol:
-        raise PreconditionError("the zero query is handled by the fiber dispatch")
-
-    certs: list[ConditionReport] = []
-    ym = mask_restrict(ystar, cyl.mask)
-    ymbar = ystar - ym
-    tail = norm_dual(ymbar)
-    tail_zero = tail <= QUERY_MATCH_TOL * ny
-    certs.append(
-        ConditionReport(
-            name="unmasked part of y* vanishes",
-            holds=tail_zero,
-            slack=tail,
-        )
-    )
-
-    nym = norm_dual(ym)
-    pairing = pair(ym, xm)
-    eq_slack = pairing + r * nym
-    eq_holds = nym > xbar.space.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
-    certs.append(
-        ConditionReport(
-            name="masked pairing equals -r times masked dual norm",
-            holds=eq_holds,
-            slack=eq_slack,
-        )
-    )
-
-    w = -mask_restrict(duality_map_inv(ystar), cyl.mask)
-    cls = classify_direction(cyl, xbar, w, band)
-    dir_up = cls.kind is DirectionKind.UP
-    certs.append(
-        ConditionReport(
-            name="masked reflected candidate -(J*(y*))_M leaves the cylinder",
-            holds=dir_up,
-            slack=cls.slope,
-        )
-    )
-
-    if eq_holds and tail_zero:
-        c = nym / r
-        align = norm_dual(ym + c * duality_map(xm))
-        certs.append(
-            ConditionReport(
-                name="y*_M is a negative multiple of J(xbar_M)",
-                holds=align <= 1e-8 * nym,
-                slack=align,
-            )
-        )
-
-    slope_band = 1e-12 * max(1.0, ny)
-    if tail_zero and eq_holds and dir_up and cls.slope > slope_band:
-        verdict = Verdict.MEMBER
-    elif tail_zero and eq_holds:
-        verdict = Verdict.UNDETERMINED
-    else:
-        verdict = Verdict.NOT_MEMBER
-    return ThetaMembership(verdict=verdict, certificates=tuple(certs))
+    return _theta_member(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar, band, _CYLINDER_LABELS)
 
 
 def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:

@@ -5,8 +5,9 @@ The ball and cylinder projections are differentiable everywhere except on
 the boundary. Inside, the derivative is the identity. Outside, it is the
 radial-rescaling derivative
 
-    ball:      v -> (r/||xb||) * (v - <J(xb), v>/||xb||^2 * xb)
-    cylinder:  v -> (r/||xb_M||) * (v_M - <J(xb_M), v_M>/||xb_M||^2 * xb_M) + v_Mbar
+    v -> (r/||xb_M||) * (v_M - <J(xb_M), v_M>/||xb_M||^2 * xb_M) + v_Mbar
+
+where the ball is the cylinder whose mask M is every coordinate.
 
 On the boundary no linear derivative exists; ``nonsmoothness_witness``
 exhibits a direction v whose one-sided difference quotients fail the odd
@@ -38,11 +39,12 @@ from .projections import (
     Cylinder,
     PositiveCone,
     RegionKind,
+    _radial,
     classify_region,
     mask_restrict,
     project,
 )
-from .space import PrimalPoint, duality_map, is_theta, norm_primal, pair, smoothness
+from .space import PrimalPoint, _duality, _norm, _pair, is_theta, norm_primal, smoothness
 
 
 class DirectionKind(Enum):
@@ -98,24 +100,20 @@ class Witness:
 def classify_direction(
     set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint, band: float | None = None
 ) -> DirectionClass:
-    """Up/down classification of a direction at a boundary point."""
-    if not isinstance(set_, (Ball, Cylinder)):
-        raise UnsupportedSetError("direction classification needs a ball or cylinder")
+    """Up/down classification of a nonzero direction at a boundary point,
+    by the slope psi(xbar_M, v_M) of the masked norm."""
     tag = classify_region(set_, xbar, band)
     if tag.kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
-    if isinstance(set_, Ball):
-        if is_theta(v):
-            raise DegenerateInputError("ball directions must be nonzero")
-        vm = v
-        xm = xbar
-    else:
-        vm = mask_restrict(v, set_.mask)
-        xm = mask_restrict(xbar, set_.mask)
-        if is_theta(vm):
-            # The masked norm stays exactly r, hence never exceeds it.
-            return DirectionClass(kind=DirectionKind.DOWN, slope=0.0)
-    d = smoothness(xm, vm)
+    if is_theta(v):
+        raise DegenerateInputError("directions must be nonzero")
+    sp = xbar.space
+    sel = _radial(set_, sp.n)[1]
+    vm = np.where(sel, v.coords, 0.0)
+    if _norm(vm, sp.weights, sp.p) <= sp.theta_tol:
+        # The masked norm stays exactly r, hence never exceeds it.
+        return DirectionClass(kind=DirectionKind.DOWN, slope=0.0)
+    d = smoothness(sp.primal(np.where(sel, xbar.coords, 0.0)), sp.primal(vm))
     kind = DirectionKind.DOWN if d < 0.0 else DirectionKind.UP
     return DirectionClass(kind=kind, slope=d)
 
@@ -124,23 +122,18 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
     """Apply the closed-form derivative of the projection at an interior or
     exterior point to the direction v. Raises at boundary points, where the
     projection has no derivative."""
-    if not isinstance(set_, (Ball, Cylinder)):
-        raise UnsupportedSetError("closed-form derivative covers balls and cylinders")
     tag = classify_region(set_, xbar)
     if tag.kind is RegionKind.BOUNDARY:
         raise NoDerivativeError("the projection is not differentiable on the boundary")
     if tag.kind is RegionKind.INTERIOR:
         return v
-    if isinstance(set_, Ball):
-        nrm = norm_primal(xbar)
-        a = pair(duality_map(xbar), v) / nrm**2
-        return (set_.r / nrm) * (v - a * xbar)
-    xm = mask_restrict(xbar, set_.mask)
-    vm = mask_restrict(v, set_.mask)
-    vmbar = v - vm
-    nrm = norm_primal(xm)
-    a = pair(duality_map(xm), vm) / nrm**2
-    return (set_.r / nrm) * (vm - a * xm) + vmbar
+    sp = xbar.space
+    r, sel = _radial(set_, sp.n)
+    xm = np.where(sel, xbar.coords, 0.0)
+    vm = np.where(sel, v.coords, 0.0)
+    nrm = _norm(xm, sp.weights, sp.p)
+    a = _pair(sp.weights, _duality(xm, sp.p, nrm, sp.theta_tol), vm) / nrm**2
+    return sp.primal(np.where(sel, (r / nrm) * (v.coords - a * xbar.coords), v.coords))
 
 
 def gateaux_fd(

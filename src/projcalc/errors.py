@@ -27,3 +27,7 @@ class NoDerivativeError(ProjcalcError):
 
 class PreconditionError(ProjcalcError):
     """A documented operation precondition was violated."""
+
+
+class NonFiniteError(ProjcalcError, ValueError):
+    """A coordinate, or a norm computed from finite coordinates, is not finite."""

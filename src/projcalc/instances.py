@@ -2,7 +2,9 @@
 
 Every instance is a (space, set, point) triple reproducible from a seed.
 Boundary points are constructed exactly: the raw draw is rescaled so the
-relevant (masked) norm equals the radius to machine precision.
+relevant (masked) norm equals the radius to machine precision. Balls and
+cylinders share one draw and one rescaling, through the coordinate mask of
+``projections._radial`` (every coordinate for a ball).
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .projections import Ball, ConvexSet, CoordSubspace, Cylinder, PositiveCone, mask_restrict
-from .space import PrimalPoint, SpaceConfig, norm_primal
+from .projections import _masked_norm, _radial
+from .space import PrimalPoint, SpaceConfig
 
 _KIND_CODES = {"ball": 1, "cylinder": 2, "cone": 3, "subspace": 4}
 _REGIME_CODES = {"interior": 1, "boundary": 2, "exterior": 3}
@@ -43,6 +46,30 @@ def _nonzero_draw(rng: np.random.Generator, n: int) -> np.ndarray:
     return v
 
 
+def _rescale_masked(space: SpaceConfig, sel: np.ndarray, coords, target: float) -> PrimalPoint:
+    """The point with coords' masked part rescaled to norm ``target`` and the
+    unmasked coordinates kept. The masked part must be nonzero."""
+    scale = target / _masked_norm(space, sel, coords)
+    return space.primal(np.where(sel, scale * coords, coords))
+
+
+def _masked_draw(space: SpaceConfig, sel: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A standard normal draw, redrawn until its masked part is nonzero."""
+    v = rng.standard_normal(space.n)
+    while _masked_norm(space, sel, v) <= space.theta_tol:
+        v = rng.standard_normal(space.n)
+    return v
+
+
+def point_at_norm(
+    space: SpaceConfig, set_: Ball | Cylinder, rng: np.random.Generator, target: float
+) -> PrimalPoint:
+    """A random point whose masked norm equals ``target`` (the radius for a
+    boundary point)."""
+    sel = _radial(set_, space.n)[1]
+    return _rescale_masked(space, sel, _masked_draw(space, sel, rng), target)
+
+
 def gen_instance(
     kind: str,
     regime: str,
@@ -64,25 +91,14 @@ def gen_instance(
     rng = _rng(seed, kind, regime)
     space = SpaceConfig(n=n, p=p, weights=make_weights(n, weights_mode, rng))
 
-    if kind == "ball":
-        set_: ConvexSet = Ball(r=r)
-        x = space.primal(_nonzero_draw(rng, n))
-        target = _target_norm(regime, r, rng)
-        x = (target / norm_primal(x)) * x
-        return space, set_, x
-
-    if kind == "cylinder":
-        mask = pick_mask(n, mask_density, rng)
-        set_ = Cylinder(r=r, mask=mask)
-        raw = _nonzero_draw(rng, n)
-        x = space.primal(raw)
-        xm = mask_restrict(x, mask)
-        while norm_primal(xm) <= space.theta_tol:
-            x = space.primal(_nonzero_draw(rng, n))
-            xm = mask_restrict(x, mask)
-        target = _target_norm(regime, r, rng)
-        x = (target / norm_primal(xm)) * xm + (x - xm)
-        return space, set_, x
+    if kind in ("ball", "cylinder"):
+        if kind == "ball":
+            set_: ConvexSet = Ball(r=r)
+        else:
+            set_ = Cylinder(r=r, mask=pick_mask(n, mask_density, rng))
+        sel = _radial(set_, n)[1]
+        coords = _masked_draw(space, sel, rng)
+        return space, set_, _rescale_masked(space, sel, coords, _target_norm(regime, r, rng))
 
     if kind == "cone":
         set_ = PositiveCone()
@@ -131,22 +147,16 @@ def sample_in_set(
 ) -> list[PrimalPoint]:
     """Feasible competitor samples, one generator per set variant."""
     out = []
+    radial = isinstance(set_, (Ball, Cylinder))
+    if radial:
+        r, sel = _radial(set_, space.n)
     for _ in range(count):
         v = rng.standard_normal(space.n)
-        if isinstance(set_, Ball):
-            x = space.primal(v)
-            nrm = norm_primal(x)
-            scale = set_.r * rng.uniform(0.0, 1.0) / max(nrm, space.theta_tol)
-            out.append(scale * x)
-        elif isinstance(set_, Cylinder):
-            x = space.primal(v)
-            xm = mask_restrict(x, set_.mask)
-            nrm = norm_primal(xm)
-            if nrm <= space.theta_tol:
-                out.append(x - xm)
+        if radial:
+            if _masked_norm(space, sel, v) <= space.theta_tol:
+                out.append(space.primal(np.where(sel, 0.0, v)))
                 continue
-            scale = set_.r * rng.uniform(0.0, 1.0) / nrm
-            out.append(scale * xm + (x - xm))
+            out.append(_rescale_masked(space, sel, v, r * rng.uniform(0.0, 1.0)))
         elif isinstance(set_, PositiveCone):
             out.append(space.primal(np.abs(v)))
         elif isinstance(set_, CoordSubspace):

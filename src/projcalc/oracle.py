@@ -114,14 +114,26 @@ def quotient_denominator_pair(
     magnitudes differ by a factor within [1, sqrt(2)], so the verdict sign
     never depends on the choice.
     """
-    du = u - xbar
-    ndu = norm_primal(du)
+    num, ndu, ndp = _quotient_terms(set_, xbar, project(set_, xbar), xstar, ystar, u)
     if ndu <= xbar.space.theta_tol:
         raise DegenerateInputError("the probe point must differ from the base point")
-    dp = project(set_, u) - project(set_, xbar)
-    ndp = norm_primal(dp)
-    num = pair(xstar, du) - pair(ystar, dp)
     return num / (ndu + ndp), num / math.hypot(ndu, ndp)
+
+
+def _quotient_terms(
+    set_: ConvexSet,
+    xbar: PrimalPoint,
+    px: PrimalPoint,
+    xstar: DualPoint,
+    ystar: DualPoint,
+    u: PrimalPoint,
+) -> tuple[float, float, float]:
+    """Numerator and the two denominator norms of the quotient at u, given
+    px = P(xbar). The oracle and the public quotient both call this, so a
+    recorded witness quotient reproduces bit for bit."""
+    du = u - xbar
+    dp = project(set_, u) - px
+    return pair(xstar, du) - pair(ystar, dp), norm_primal(du), norm_primal(dp)
 
 
 def _unitize(v: PrimalPoint) -> PrimalPoint | None:
@@ -220,12 +232,8 @@ def test_membership(
                 directions.append(d)
         for d in directions:
             u = xbar + rho * d
-            du = u - xbar
-            dp = project(set_, u) - px
-            # Same arithmetic as coderiv_quotient, with P(xbar) hoisted out,
-            # so a recorded witness quotient reproduces exactly.
-            num = pair(xstar, du) - pair(ystar, dp)
-            q = num / (norm_primal(du) + norm_primal(dp))
+            num, ndu, ndp = _quotient_terms(set_, xbar, px, xstar, ystar, u)
+            q = num / (ndu + ndp)
             if q > best:
                 best = q
                 best_u = u

@@ -2,10 +2,13 @@
 
 Supported sets, all centered at the origin of a weighted p-norm space:
 
-* ``Ball(r)``            -- points with ||x|| <= r; projection is radial
-  scaling (r/||x||) x outside, identity inside.
 * ``Cylinder(r, mask)``  -- points whose masked part satisfies ||x_M|| <= r;
-  projection rescales the masked part and leaves the rest alone.
+  projection rescales the masked part by r/||x_M|| and leaves the rest alone.
+* ``Ball(r)``            -- points with ||x|| <= r. It is handled as the
+  cylinder whose mask is every coordinate, so the projection is the radial
+  scaling (r/||x||) x outside and the identity inside. Every ball/cylinder
+  kernel here and in ``derivatives``, ``coderivative`` and ``instances`` is
+  written once, over the coordinate mask from ``_radial``.
 * ``CoordSubspace(mask)``-- coordinate subspace; projection truncates the
   complement coordinates to zero, for every exponent p.
 * ``PositiveCone()``     -- componentwise nonnegative vectors; projection is
@@ -25,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError, UnsupportedSetError
-from .space import PrimalPoint, duality_map, is_theta, norm_primal, pair
+from .space import PrimalPoint, _norm, duality_map, is_theta, norm_primal, pair
 
 # Boundary band, relative to the radius. Boundary cases are constructed
 # exactly in tests, so the band only has to absorb rounding.
@@ -112,10 +115,22 @@ def mask_restrict(point, mask: frozenset[int]):
     return type(point)(np.where(sel, point.coords, 0.0), point.space)
 
 
-def _masked(set_: ConvexSet, x: PrimalPoint) -> PrimalPoint:
+def _radial(set_: Ball | Cylinder, n: int) -> tuple[float, np.ndarray]:
+    """Radius and boolean coordinate mask of a ball or cylinder.
+
+    A ball is the cylinder that masks every coordinate. Kernels take the
+    masked part as ``np.where(sel, coords, 0.0)``: the zeros stay in place,
+    so every sum rounds as it would over the full coordinate vector.
+    """
     if isinstance(set_, Ball):
-        return x
-    return mask_restrict(x, set_.mask)
+        return set_.r, np.ones(n, dtype=bool)
+    if isinstance(set_, Cylinder):
+        return set_.r, _mask_array(set_.mask, n)
+    raise UnsupportedSetError(f"this operation needs a ball or cylinder, got {set_!r}")
+
+
+def _masked_norm(space, sel: np.ndarray, coords: np.ndarray) -> float:
+    return _norm(np.where(sel, coords, 0.0), space.weights, space.p)
 
 
 # -- positive/negative parts --------------------------------------------------
@@ -135,10 +150,9 @@ def neg_part(f):
 
 
 def set_contains(set_: ConvexSet, x: PrimalPoint, tol: float = SET_MEMBERSHIP_TOL) -> bool:
-    if isinstance(set_, Ball):
-        return norm_primal(x) <= set_.r * (1.0 + tol)
-    if isinstance(set_, Cylinder):
-        return norm_primal(mask_restrict(x, set_.mask)) <= set_.r * (1.0 + tol)
+    if isinstance(set_, (Ball, Cylinder)):
+        r, sel = _radial(set_, x.space.n)
+        return _masked_norm(x.space, sel, x.coords) <= r * (1.0 + tol)
     if isinstance(set_, CoordSubspace):
         comp = mask_complement(set_.mask, x.space.n)
         return norm_primal(mask_restrict(x, comp)) <= tol * max(1.0, norm_primal(x))
@@ -153,14 +167,13 @@ def classify_region(set_: ConvexSet, x: PrimalPoint, band: float | None = None) 
     The positive cone and coordinate subspaces are rejected: their geometry is
     handled by dedicated logic rather than a radius comparison.
     """
-    if not isinstance(set_, (Ball, Cylinder)):
-        raise UnsupportedSetError("region classification needs a ball or cylinder")
+    r, sel = _radial(set_, x.space.n)
     if band is None:
-        band = DEFAULT_BAND_SCALE * set_.r
-    nrm = norm_primal(_masked(set_, x))
-    if abs(nrm - set_.r) <= band:
+        band = DEFAULT_BAND_SCALE * r
+    nrm = _masked_norm(x.space, sel, x.coords)
+    if abs(nrm - r) <= band:
         kind = RegionKind.BOUNDARY
-    elif nrm < set_.r - band:
+    elif nrm < r - band:
         kind = RegionKind.INTERIOR
     else:
         kind = RegionKind.EXTERIOR
@@ -172,19 +185,12 @@ def classify_region(set_: ConvexSet, x: PrimalPoint, band: float | None = None) 
 
 def project(set_: ConvexSet, x: PrimalPoint) -> PrimalPoint:
     """Nearest point of the set in the weighted p-norm (closed form)."""
-    sp = x.space
-    if isinstance(set_, Ball):
-        nrm = norm_primal(x)
-        if nrm <= set_.r:
+    if isinstance(set_, (Ball, Cylinder)):
+        r, sel = _radial(set_, x.space.n)
+        nrm = _masked_norm(x.space, sel, x.coords)
+        if nrm <= r:
             return x
-        return (set_.r / nrm) * x
-    if isinstance(set_, Cylinder):
-        xm = mask_restrict(x, set_.mask)
-        nrm = norm_primal(xm)
-        if nrm <= set_.r:
-            return x
-        xmbar = x - xm
-        return (set_.r / nrm) * xm + xmbar
+        return PrimalPoint(np.where(sel, (r / nrm) * x.coords, x.coords), x.space)
     if isinstance(set_, CoordSubspace):
         return mask_restrict(x, set_.mask)
     if isinstance(set_, PositiveCone):

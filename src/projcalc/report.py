@@ -75,18 +75,20 @@ def _scalar(v) -> str:
     raise TypeError(f"cannot serialize {type(v)!r}")
 
 
-def _encode(v, indent: int) -> str:
+def encode_json(v, indent: int = 0) -> str:
+    """Deterministic JSON text: keys in insertion order, floats with 17
+    significant digits, non-finite floats as strings."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(v, dict):
         if not v:
             return "{}"
-        rows = [f"{inner}{json.dumps(str(k))}: {_encode(val, indent + 1)}" for k, val in v.items()]
+        rows = [f"{inner}{json.dumps(str(k))}: {encode_json(val, indent + 1)}" for k, val in v.items()]
         return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        rows = [f"{inner}{_encode(val, indent + 1)}" for val in v]
+        rows = [f"{inner}{encode_json(val, indent + 1)}" for val in v]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"
     return _scalar(v)
 
@@ -112,7 +114,7 @@ def report_to_dict(report: Report) -> dict:
 
 
 def render_json(report: Report) -> str:
-    return _encode(report_to_dict(report), 0) + "\n"
+    return encode_json(report_to_dict(report)) + "\n"
 
 
 def render_csv(report: Report) -> str:

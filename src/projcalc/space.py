@@ -22,11 +22,12 @@ t -> ||x + t y|| at t = 0+.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError
+from .errors import DegenerateInputError, DimensionMismatchError, NonFiniteError
 
 # Exponents outside this range make |x|^(p-2) too ill-conditioned to verify
 # at 64-bit precision.
@@ -105,7 +106,7 @@ def _freeze_coords(coords, n: int) -> np.ndarray:
     if c.shape != (n,):
         raise DimensionMismatchError(f"expected {n} coordinates, got shape {c.shape}")
     if not np.all(np.isfinite(c)):
-        raise ValueError("coordinates must be finite")
+        raise NonFiniteError("coordinates must be finite")
     c.flags.writeable = False
     return c
 
@@ -163,16 +164,40 @@ class DualPoint(_Point):
     """A vector of the dual space (measured in the q-norm, same weights)."""
 
 
+# -- array kernels ----------------------------------------------------------------
+# The point functions below and the radial kernels of the set modules share
+# these, so each formula is written once.
+
+
+def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float) -> float:
+    """(sum_s w_s |c_s|^e)^(1/e); raises when it overflows."""
+    val = float(np.sum(weights * np.abs(coords) ** exponent) ** (1.0 / exponent))
+    if not math.isfinite(val):
+        # |c|^e overflows long before the coordinates do (p = 10, |c| ~ 1e31).
+        raise NonFiniteError(f"norm of finite coordinates overflowed to {val}")
+    return val
+
+
+def _pair(weights: np.ndarray, dual: np.ndarray, primal: np.ndarray) -> float:
+    return float(np.sum(weights * dual * primal))
+
+
+def _duality(coords: np.ndarray, exponent: float, nrm: float, tol: float) -> np.ndarray:
+    """Coordinates of J (exponent p) or J* (exponent q) at a point of norm nrm."""
+    if nrm <= tol:
+        return np.zeros_like(coords)
+    # sign(x)*|x|^(e-1) is safe for all e > 1, including zero entries.
+    return np.sign(coords) * np.abs(coords) ** (exponent - 1.0) / nrm ** (exponent - 2.0)
+
+
 def norm_primal(x: PrimalPoint) -> float:
     """Weighted p-norm (sum_s w_s |x_s|^p)^(1/p)."""
-    sp = x.space
-    return float(np.sum(sp.weights * np.abs(x.coords) ** sp.p) ** (1.0 / sp.p))
+    return _norm(x.coords, x.space.weights, x.space.p)
 
 
 def norm_dual(xs: DualPoint) -> float:
     """Weighted q-norm of a dual vector; equals ||J(x)|| whenever xs = J(x)."""
-    sp = xs.space
-    return float(np.sum(sp.weights * np.abs(xs.coords) ** sp.q) ** (1.0 / sp.q))
+    return _norm(xs.coords, xs.space.weights, xs.space.q)
 
 
 def is_theta(point: PrimalPoint | DualPoint) -> bool:
@@ -186,7 +211,7 @@ def pair(xs: DualPoint, x: PrimalPoint) -> float:
     """Canonical weighted pairing <xs, x> = sum_s w_s xs_s x_s."""
     if not xs.space.compatible_with(x.space):
         raise DimensionMismatchError("pairing requires a common space")
-    return float(np.sum(x.space.weights * xs.coords * x.coords))
+    return _pair(x.space.weights, xs.coords, x.coords)
 
 
 def duality_map(x: PrimalPoint) -> DualPoint:
@@ -195,24 +220,13 @@ def duality_map(x: PrimalPoint) -> DualPoint:
     Satisfies <J(x), x> = ||x||_p^2 and ||J(x)||_q = ||x||_p.
     """
     sp = x.space
-    nrm = norm_primal(x)
-    if nrm <= sp.theta_tol:
-        return sp.zero_dual()
-    c = x.coords
-    # sign(x)*|x|^(p-1) is safe for all p > 1, including zero entries.
-    out = np.sign(c) * np.abs(c) ** (sp.p - 1.0) / nrm ** (sp.p - 2.0)
-    return DualPoint(out, sp)
+    return DualPoint(_duality(x.coords, sp.p, norm_primal(x), sp.theta_tol), sp)
 
 
 def duality_map_inv(xs: DualPoint) -> PrimalPoint:
     """Inverse duality mapping J*; J* o J and J o J* are identities."""
     sp = xs.space
-    nrm = norm_dual(xs)
-    if nrm <= sp.theta_tol:
-        return sp.zero_primal()
-    c = xs.coords
-    out = np.sign(c) * np.abs(c) ** (sp.q - 1.0) / nrm ** (sp.q - 2.0)
-    return PrimalPoint(out, sp)
+    return PrimalPoint(_duality(xs.coords, sp.q, norm_dual(xs), sp.theta_tol), sp)
 
 
 def smoothness(x: PrimalPoint, y: PrimalPoint) -> float:

@@ -19,7 +19,7 @@ from . import derivatives as dv
 from . import oracle as oc
 from . import projections as pj
 from . import space as spc
-from .instances import gen_instance, sample_in_set
+from .instances import gen_instance, make_weights, point_at_norm, sample_in_set
 from .report import CaseResult, Report, build_summary
 
 SUITE_NAMES = [
@@ -142,11 +142,7 @@ class _Ctx:
 
 
 def _space(ctx: _Ctx) -> spc.SpaceConfig:
-    rng = ctx.rng(0)
-    if ctx.spec.weights_mode == "random":
-        w = rng.uniform(0.5, 2.0, size=ctx.spec.n)
-    else:
-        w = np.ones(ctx.spec.n)
+    w = make_weights(ctx.spec.n, ctx.spec.weights_mode, ctx.rng(0))
     return spc.SpaceConfig(n=ctx.spec.n, p=ctx.spec.p, weights=w)
 
 
@@ -161,28 +157,6 @@ def _rand_primal(sp, rng, scale=1.0):
 
 def _rand_dual(sp, rng, scale=1.0):
     return sp.dual(scale * rng.standard_normal(sp.n))
-
-
-def _boundary(sp, set_, rng):
-    x = _rand_primal(sp, rng)
-    if isinstance(set_, pj.Ball):
-        return (set_.r / spc.norm_primal(x)) * x
-    xm = pj.mask_restrict(x, set_.mask)
-    while spc.norm_primal(xm) <= sp.theta_tol:
-        x = _rand_primal(sp, rng)
-        xm = pj.mask_restrict(x, set_.mask)
-    return (set_.r / spc.norm_primal(xm)) * xm + (x - xm)
-
-
-def _scaled_to(sp, set_, rng, target):
-    x = _rand_primal(sp, rng)
-    if isinstance(set_, pj.Ball):
-        return (target / spc.norm_primal(x)) * x
-    xm = pj.mask_restrict(x, set_.mask)
-    while spc.norm_primal(xm) <= sp.theta_tol:
-        x = _rand_primal(sp, rng)
-        xm = pj.mask_restrict(x, set_.mask)
-    return (target / spc.norm_primal(xm)) * xm + (x - xm)
 
 
 # -- individual suites ---------------------------------------------------------
@@ -253,8 +227,7 @@ def _suite_space(ctx: _Ctx) -> None:
             raw = np.sign(raw) * (np.abs(raw) + 0.05)
             x = sp.primal(raw)
             x = (1.0 / spc.norm_primal(x)) * x
-            y = _rand_primal(sp, rng)
-            y = (1.0 / spc.norm_primal(y)) * y
+            y = point_at_norm(sp, pj.Ball(1.0), rng, 1.0)
             psi = spc.smoothness(x, y)
             errs = [
                 abs((spc.norm_primal(x + t * y) - spc.norm_primal(x)) / t - psi)
@@ -293,7 +266,7 @@ def _suite_decomposition(ctx: _Ctx) -> None:
     rng = ctx.rng(2)
     ns = ctx.spec.samples
     ctx.use("a_coef", "o_part", "a_star", "o_star", "in_O")
-    anchor = dec.Anchor.at(_unit(sp, rng))
+    anchor = dec.Anchor.at(point_at_norm(sp, pj.Ball(1.0), rng, 1.0))
 
     if ctx.wants("decomposition/recomposition"):
         worst_p = worst_d = 0.0
@@ -375,13 +348,6 @@ def _suite_decomposition(ctx: _Ctx) -> None:
             worst <= ctx.tol(1e-10),
             {"worst_residual": worst},
         )
-
-
-def _unit(sp, rng):
-    x = _rand_primal(sp, rng)
-    while spc.norm_primal(x) <= sp.theta_tol:
-        x = _rand_primal(sp, rng)
-    return (1.0 / spc.norm_primal(x)) * x
 
 
 def _suite_projections(ctx: _Ctx) -> None:
@@ -523,7 +489,7 @@ def _suite_derivatives(ctx: _Ctx) -> None:
         worst = 0.0
         for target in (0.5 * ctx.spec.r, 1.7 * ctx.spec.r):
             for _ in range(ns):
-                x = _scaled_to(sp, set_, rng, target)
+                x = point_at_norm(sp, set_, rng, target)
                 for _ in range(3):
                     v = _rand_primal(sp, rng)
                     closed = dv.frechet_apply(set_, x, v)
@@ -547,8 +513,9 @@ def _suite_derivatives(ctx: _Ctx) -> None:
         agreements = 0
         trials = 0
         for name, set_ in sets.items():
+            sel = pj._radial(set_, sp.n)[1]
             for _ in range(ns * 2):
-                xb = _boundary(sp, set_, rng)
+                xb = point_at_norm(sp, set_, rng, set_.r)
                 v = _rand_primal(sp, rng)
                 cls = dv.classify_direction(set_, xb, v)
                 while abs(cls.slope) < 0.05:
@@ -559,10 +526,7 @@ def _suite_derivatives(ctx: _Ctx) -> None:
                 for t in dv.DEFAULT_SCHEDULE.steps:
                     if not up and t > 1e-4:
                         continue
-                    moved = xb + t * v
-                    if isinstance(set_, pj.Cylinder):
-                        moved = pj.mask_restrict(moved, set_.mask)
-                    exceeds = spc.norm_primal(moved) > set_.r
+                    exceeds = pj._masked_norm(sp, sel, (xb + t * v).coords) > set_.r
                     ok = ok and (exceeds == up)
                 trials += 1
                 agreements += int(ok)
@@ -575,9 +539,9 @@ def _suite_derivatives(ctx: _Ctx) -> None:
 
     if ctx.wants("derivatives/annihilation"):
         worst = 0.0
-        xb = _scaled_to(sp, sets["ball"], rng, 1.6 * ctx.spec.r)
+        xb = point_at_norm(sp, sets["ball"], rng, 1.6 * ctx.spec.r)
         worst = max(worst, spc.norm_primal(dv.frechet_apply(sets["ball"], xb, xb)))
-        xc = _scaled_to(sp, sets["cylinder"], rng, 1.6 * ctx.spec.r)
+        xc = point_at_norm(sp, sets["cylinder"], rng, 1.6 * ctx.spec.r)
         tail = xc - pj.mask_restrict(xc, mask)
         worst = max(
             worst,
@@ -630,9 +594,19 @@ def _fd_jacobian(set_, x, h=1e-6):
     return np.stack(cols, axis=1)
 
 
-def _adjoint_action(jac, sp, ystar):
-    w = sp.weights
-    return sp.dual((jac.T @ (w * ystar.coords)) / w)
+def _adjoint_gap(set_, x, fiber, ys, v):
+    """Relative defect of <fiber value, v> = <y*, dP(x) v>."""
+    lhs = spc.pair(fiber.value, v)
+    rhs = spc.pair(ys, dv.frechet_apply(set_, x, v))
+    return abs(lhs - rhs) / max(1.0, spc.norm_dual(ys) * spc.norm_primal(v))
+
+
+def _transpose_gap(jac, fiber, ys):
+    """Relative distance from the fiber value to the adjoint action of the
+    difference Jacobian."""
+    w = ys.space.weights
+    want = ys.space.dual((jac.T @ (w * ys.coords)) / w)
+    return spc.norm_dual(fiber.value - want) / max(1.0, spc.norm_dual(ys))
 
 
 def _suite_coderiv_ball(ctx: _Ctx) -> None:
@@ -647,17 +621,10 @@ def _suite_coderiv_ball(ctx: _Ctx) -> None:
         worst = 0.0
         for target in (0.5 * r, 1.8 * r):
             for _ in range(ns):
-                x = _scaled_to(sp, ball, rng, target)
+                x = point_at_norm(sp, ball, rng, target)
                 for _ in range(5):
                     ys, v = _rand_dual(sp, rng), _rand_primal(sp, rng)
-                    res = cd.coderiv_ball(r, x, ys)
-                    lhs = spc.pair(res.value, v)
-                    rhs = spc.pair(ys, dv.frechet_apply(ball, x, v))
-                    worst = max(
-                        worst,
-                        abs(lhs - rhs)
-                        / max(1.0, spc.norm_dual(ys) * spc.norm_primal(v)),
-                    )
+                    worst = max(worst, _adjoint_gap(ball, x, cd.coderiv_ball(r, x, ys), ys, v))
         ctx.check(
             "coderiv-ball/adjoint-identity",
             "<fiber value, v> = <y*, dP v> at differentiable points",
@@ -668,15 +635,11 @@ def _suite_coderiv_ball(ctx: _Ctx) -> None:
     if ctx.wants("coderiv-ball/fd-transpose"):
         worst = 0.0
         for target in (0.4 * r, 1.9 * r):
-            x = _scaled_to(sp, ball, rng, target)
+            x = point_at_norm(sp, ball, rng, target)
             jac = _fd_jacobian(ball, x)
             for _ in range(5):
                 ys = _rand_dual(sp, rng)
-                res = cd.coderiv_ball(r, x, ys)
-                want = _adjoint_action(jac, sp, ys)
-                worst = max(
-                    worst, spc.norm_dual(res.value - want) / max(1.0, spc.norm_dual(ys))
-                )
+                worst = max(worst, _transpose_gap(jac, cd.coderiv_ball(r, x, ys), ys))
         ctx.check(
             "coderiv-ball/fd-transpose",
             "fiber values match the transpose action of the difference Jacobian",
@@ -685,7 +648,7 @@ def _suite_coderiv_ball(ctx: _Ctx) -> None:
         )
 
     if ctx.wants("coderiv-ball/boundary-dispatch"):
-        xb = _boundary(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         jx = spc.duality_map(xb)
         zero_ok = isinstance(cd.coderiv_ball(r, xb, sp.zero_dual()), cd.Singleton)
         empty_ok = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
@@ -707,7 +670,7 @@ def _suite_coderiv_ball(ctx: _Ctx) -> None:
         )
 
     if ctx.wants("coderiv-ball/hilbert-grid") and sp.p == 2.0:
-        xb = _boundary(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         anchor = dec.Anchor.at(xb)
         agreements = 0
         for i in range(20):
@@ -737,7 +700,7 @@ def _suite_coderiv_ball(ctx: _Ctx) -> None:
         )
 
     if ctx.wants("coderiv-ball/fiber-nonlinearity"):
-        xb = _boundary(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         jx = spc.duality_map(xb)
         m1 = cd.sphere_theta_member(r, xb, -1.0 * jx).verdict is cd.Verdict.MEMBER
         m2 = cd.sphere_theta_member(r, xb, -2.0 * jx).verdict is cd.Verdict.MEMBER
@@ -762,22 +725,14 @@ def _suite_coderiv_cylinder(ctx: _Ctx) -> None:
         worst_adj = 0.0
         worst_fd = 0.0
         for target in (0.5 * r, 1.7 * r):
-            x = _scaled_to(sp, cyl, rng, target)
+            x = point_at_norm(sp, cyl, rng, target)
             jac = _fd_jacobian(cyl, x)
             for _ in range(8):
                 ys = _rand_dual(sp, rng)
                 v = _rand_primal(sp, rng)
                 res = cd.coderiv_cylinder(r, mask, x, ys)
-                lhs = spc.pair(res.value, v)
-                rhs = spc.pair(ys, dv.frechet_apply(cyl, x, v))
-                worst_adj = max(
-                    worst_adj,
-                    abs(lhs - rhs) / max(1.0, spc.norm_dual(ys) * spc.norm_primal(v)),
-                )
-                want = _adjoint_action(jac, sp, ys)
-                worst_fd = max(
-                    worst_fd, spc.norm_dual(res.value - want) / max(1.0, spc.norm_dual(ys))
-                )
+                worst_adj = max(worst_adj, _adjoint_gap(cyl, x, res, ys, v))
+                worst_fd = max(worst_fd, _transpose_gap(jac, res, ys))
         ctx.check(
             "coderiv-cylinder/adjoint-identity",
             "fiber values are the adjoint of the closed-form and difference Jacobians",
@@ -787,7 +742,7 @@ def _suite_coderiv_cylinder(ctx: _Ctx) -> None:
 
     if ctx.wants("coderiv-cylinder/boundary-iff"):
         ok = True
-        xb = _boundary(sp, cyl, rng)
+        xb = point_at_norm(sp, cyl, rng, cyl.r)
         jm = pj.mask_restrict(spc.duality_map(xb), mask)
         ok &= cd.cylinder_theta_member(r, mask, xb, -1.0 * jm).verdict is cd.Verdict.MEMBER
         comp = pj.mask_complement(mask, sp.n)
@@ -810,7 +765,7 @@ def _suite_coderiv_cylinder(ctx: _Ctx) -> None:
         agreements = 0
         trials = 0
         for target in (0.5 * r, r, 1.9 * r):
-            x = _scaled_to(sp, pj.Ball(r), rng, target)
+            x = point_at_norm(sp, pj.Ball(r), rng, target)
             queries = [_rand_dual(sp, rng) for _ in range(15)]
             queries += [sp.zero_dual(), spc.duality_map(x), -1.0 * spc.duality_map(x)]
             for ys in queries:
@@ -911,10 +866,10 @@ def _suite_oracle(ctx: _Ctx) -> None:
     if ctx.wants("oracle/denominator-equivalence"):
         worst_hi = 0.0
         worst_lo = np.inf
-        xb = _boundary(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         for _ in range(50):
             xs, ys = _rand_dual(sp, rng), _rand_dual(sp, rng)
-            u = xb + float(rng.uniform(1e-4, 1e-1)) * _unit(sp, rng)
+            u = xb + float(rng.uniform(1e-4, 1e-1)) * point_at_norm(sp, pj.Ball(1.0), rng, 1.0)
             q_sum, q_a = oc.quotient_denominator_pair(ball, xb, xs, ys, u)
             if q_sum * q_a < 0.0:
                 worst_hi = np.inf
@@ -934,7 +889,7 @@ def _suite_oracle(ctx: _Ctx) -> None:
         ok = True
         worst = -np.inf
         for set_, target in ((ball, 0.5 * r), (ball, 1.8 * r), (cyl, 0.5 * r), (cyl, 1.8 * r)):
-            x = _scaled_to(sp, set_, rng, target)
+            x = point_at_norm(sp, set_, rng, target)
             ys = _rand_dual(sp, rng)
             if isinstance(set_, pj.Ball):
                 res = cd.coderiv_ball(r, x, ys)
@@ -956,9 +911,9 @@ def _suite_oracle(ctx: _Ctx) -> None:
         worst_ray = np.inf
         witness = None
         for set_ in (ball, cyl):
-            xb = _boundary(sp, set_, rng)
+            xb = point_at_norm(sp, set_, rng, set_.r)
             jx = spc.duality_map(xb)
-            ray = xb if isinstance(set_, pj.Ball) else pj.mask_restrict(xb, mask)
+            ray = sp.primal(np.where(pj._radial(set_, sp.n)[1], xb.coords, 0.0))
             for _ in range(3):
                 xs = _rand_dual(sp, rng)
                 v = oc.test_membership(set_, xb, xs, jx, cfg)
@@ -980,7 +935,7 @@ def _suite_oracle(ctx: _Ctx) -> None:
 
     if ctx.wants("oracle/theta-membership-grid"):
         ok = True
-        xb = _boundary(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         jx = spc.duality_map(xb)
         anchor = dec.Anchor.at(xb)
         members = [-0.7 * jx, -1.5 * jx]
@@ -995,7 +950,7 @@ def _suite_oracle(ctx: _Ctx) -> None:
             analytic = cd.sphere_theta_member(r, xb, ys).verdict is cd.Verdict.NOT_MEMBER
             sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
             ok &= analytic and isinstance(sampled, oc.RejectedWithWitness)
-        xc = _boundary(sp, cyl, rng)
+        xc = point_at_norm(sp, cyl, rng, cyl.r)
         jm = pj.mask_restrict(spc.duality_map(xc), mask)
         analytic = cd.cylinder_theta_member(r, mask, xc, -1.0 * jm).verdict
         sampled = oc.test_membership(cyl, xc, sp.zero_dual(), -1.0 * jm, cfg)

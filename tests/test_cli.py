@@ -162,3 +162,35 @@ class TestWitness:
         with pytest.raises(SystemExit):
             main(["witness", "--set", "ball", "--point", "[0.2, 0]", "--p", "2.0"])
         capsys.readouterr()
+
+
+class TestUsageErrors:
+    def test_unknown_case_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "none.json"
+        code = main(["run", "--suite", "projections", "--case", "nope", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "nope" in err
+        assert not out.exists()
+
+    def test_overflowing_oracle_query_prints_one_error_line(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import projcalc
+
+        env = dict(os.environ)
+        src = str(Path(projcalc.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "projcalc.cli", "oracle", "--set", "ball", "--p", "10",
+             "--point", "[1e40,-2e40,5e39,0]", "--xstar", "[0,0,0,0]",
+             "--ystar", "[0,0,0,0]", "--directions", "8"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
