@@ -43,7 +43,10 @@ def _parse_vector(text: str) -> np.ndarray:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemExit(f"expected a JSON array of numbers, got {text!r}: {exc}")
-    arr = np.asarray(data, dtype=np.float64)
+    try:
+        arr = np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"expected a JSON array of numbers, got {text!r}: {exc}")
     if arr.ndim != 1:
         raise SystemExit("point/query vectors must be one-dimensional JSON arrays")
     return arr
@@ -172,10 +175,10 @@ def _cmd_oracle(args) -> int:
     if len(xstar) != space.n or len(ystar) != space.n:
         raise SystemExit("point, xstar, and ystar must share one dimension")
     seed = args.oracle_seed if args.oracle_seed is not None else _default_seed()
-    radii = OracleConfig.radii
-    if args.radii:
-        radii = tuple(float(tok) for tok in args.radii.split(","))
     try:
+        radii = OracleConfig.radii
+        if args.radii:
+            radii = tuple(float(tok) for tok in args.radii.split(","))
         cfg = OracleConfig(
             radii=radii,
             directions_per_radius=args.directions,

@@ -17,8 +17,11 @@ u with a quotient that stays above the threshold at the two smallest radii
 (a genuine violation has an order-one limit; discretization noise decays
 with the radius). "Not rejected" is evidence for membership, never proof.
 
-Each (seed, radius index, direction index) triple gets its own random
-substream, so results are independent of evaluation order.
+Each radius is one array pass over a block of unit directions: the
+structured probes, then the random rows. The random rows come from one
+counter-based Philox block per (seed, radius index), so the draws do not
+depend on evaluation order, and the m rows drawn for m directions are the
+first m rows drawn for any larger count.
 """
 
 from __future__ import annotations
@@ -29,24 +32,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Anchor, o_star
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DimensionMismatchError
 from .projections import (
     ConvexSet,
     Cylinder,
     PositiveCone,
+    _project_coords,
     mask_complement,
     mask_restrict,
     neg_part,
     pos_part,
-    project,
 )
 from .space import (
     DualPoint,
     PrimalPoint,
+    _finite,
+    _norm,
+    _pair,
     duality_map_inv,
     is_theta,
     norm_primal,
-    pair,
 )
 
 
@@ -114,26 +119,39 @@ def quotient_denominator_pair(
     magnitudes differ by a factor within [1, sqrt(2)], so the verdict sign
     never depends on the choice.
     """
-    num, ndu, ndp = _quotient_terms(set_, xbar, project(set_, xbar), xstar, ystar, u)
+    _check_spaces(xbar, xstar, ystar, u)
+    px = _project_coords(set_, xbar.space, xbar.coords)
+    rows = _quotient_rows(set_, xbar, px, xstar, ystar, u.coords[np.newaxis])
+    num, ndu, ndp = (float(v[0]) for v in rows)
     if ndu <= xbar.space.theta_tol:
         raise DegenerateInputError("the probe point must differ from the base point")
     return num / (ndu + ndp), num / math.hypot(ndu, ndp)
 
 
-def _quotient_terms(
+def _check_spaces(xbar: PrimalPoint, *others) -> None:
+    for pt in others:
+        if not xbar.space.compatible_with(pt.space):
+            raise DimensionMismatchError("the query points live in different spaces")
+
+
+def _quotient_rows(
     set_: ConvexSet,
     xbar: PrimalPoint,
-    px: PrimalPoint,
+    px: np.ndarray,
     xstar: DualPoint,
     ystar: DualPoint,
-    u: PrimalPoint,
-) -> tuple[float, float, float]:
-    """Numerator and the two denominator norms of the quotient at u, given
-    px = P(xbar). The oracle and the public quotient both call this, so a
-    recorded witness quotient reproduces bit for bit."""
-    du = u - xbar
-    dp = project(set_, u) - px
-    return pair(xstar, du) - pair(ystar, dp), norm_primal(du), norm_primal(dp)
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator and the two denominator norms of the quotient at every row
+    of the (k, n) probe block u, given px = P(xbar). The oracle and the
+    public quotient both call this, so a recorded witness quotient
+    reproduces bit for bit."""
+    sp = xbar.space
+    du = u - xbar.coords
+    dp = _project_coords(set_, sp, u) - px
+    num = _pair(sp.weights, xstar.coords, du) - _pair(sp.weights, ystar.coords, dp)
+    num = _finite(num, "quotient numerator")
+    return num, _norm(du, sp.weights, sp.p), _norm(dp, sp.weights, sp.p)
 
 
 def _unitize(v: PrimalPoint) -> PrimalPoint | None:
@@ -198,12 +216,18 @@ def structured_probes(
     return probes
 
 
-def _random_direction(sp, seed: int, radius_idx: int, dir_idx: int) -> PrimalPoint | None:
-    # Counter-based stream: one substream per (seed, radius, direction), so
-    # evaluation order cannot change the draws.
-    bg = np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, radius_idx, dir_idx])
-    rng = np.random.Generator(bg)
-    return _unitize(sp.primal(rng.standard_normal(sp.n)))
+def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
+    """Up to m seeded random unit rows for one radius, as a (k, n) array.
+
+    One Philox block per (seed, radius index), so evaluation order cannot
+    change the draws and they form a prefix in m. Rows of norm <= theta_tol
+    are dropped.
+    """
+    bg = np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, radius_idx, 0])
+    raw = np.random.Generator(bg).standard_normal((m, sp.n))
+    nrm = _norm(raw, sp.weights, sp.p)
+    keep = nrm > sp.theta_tol
+    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]
 
 
 def test_membership(
@@ -219,26 +243,25 @@ def test_membership(
     )
     if not probes and cfg.directions_per_radius == 0:
         raise ValueError("no probe directions: enable structured probes or random draws")
-    px = project(set_, xbar)
+    _check_spaces(xbar, xstar, ystar)
+    sp = xbar.space
+    px = _project_coords(set_, sp, xbar.coords)
+    fixed = np.array([d.coords for d in probes]).reshape(len(probes), sp.n)
     maxima: list[float] = []
-    argmax_u: list[PrimalPoint] = []
     for ri, rho in enumerate(cfg.radii):
-        best = -math.inf
-        best_u = None
-        directions = list(probes)
-        for di in range(cfg.directions_per_radius):
-            d = _random_direction(xbar.space, cfg.seed, ri, di)
-            if d is not None:
-                directions.append(d)
-        for d in directions:
-            u = xbar + rho * d
-            num, ndu, ndp = _quotient_terms(set_, xbar, px, xstar, ystar, u)
-            q = num / (ndu + ndp)
-            if q > best:
-                best = q
-                best_u = u
-        maxima.append(best)
-        argmax_u.append(best_u)
+        directions = np.vstack(
+            [fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)]
+        )
+        u = xbar.coords + rho * directions
+        num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
+        if not ndu.all():
+            raise DegenerateInputError(
+                f"radius {rho:g} is below the resolution of the base point's coordinates"
+            )
+        q = num / (ndu + ndp)
+        # The first maximum, as a scan keeping only strictly larger values.
+        best = int(np.argmax(q))
+        maxima.append(float(q[best]))
     rejected = (
         maxima[-1] >= cfg.reject_threshold
         and maxima[-2] >= cfg.reject_threshold
@@ -246,6 +269,8 @@ def test_membership(
     )
     if rejected:
         return RejectedWithWitness(
-            u=argmax_u[-1], quotient=maxima[-1], max_quotient_per_radius=tuple(maxima)
+            u=PrimalPoint(u[best], sp),
+            quotient=maxima[-1],
+            max_quotient_per_radius=tuple(maxima),
         )
     return NotRejected(max_quotient_per_radius=tuple(maxima))

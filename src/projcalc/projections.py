@@ -185,16 +185,22 @@ def classify_region(set_: ConvexSet, x: PrimalPoint, band: float | None = None) 
 
 def project(set_: ConvexSet, x: PrimalPoint) -> PrimalPoint:
     """Nearest point of the set in the weighted p-norm (closed form)."""
+    return PrimalPoint(_project_coords(set_, x.space, x.coords), x.space)
+
+
+def _project_coords(set_: ConvexSet, space, coords: np.ndarray) -> np.ndarray:
+    """``project`` on every row of a (..., n) coordinate array."""
     if isinstance(set_, (Ball, Cylinder)):
-        r, sel = _radial(set_, x.space.n)
-        nrm = _masked_norm(x.space, sel, x.coords)
-        if nrm <= r:
-            return x
-        return PrimalPoint(np.where(sel, (r / nrm) * x.coords, x.coords), x.space)
+        r, sel = _radial(set_, space.n)
+        nrm = _masked_norm(space, sel, coords)
+        # r / max(nrm, r) is exactly 1.0 inside the set, so the scaling
+        # leaves an inner point's coordinates untouched.
+        scale = (r / np.maximum(nrm, r))[..., np.newaxis]
+        return np.where(sel, scale * coords, coords)
     if isinstance(set_, CoordSubspace):
-        return mask_restrict(x, set_.mask)
+        return np.where(_mask_array(set_.mask, space.n), coords, 0.0)
     if isinstance(set_, PositiveCone):
-        return pos_part(x)
+        return np.where(coords > 0.0, coords, 0.0)
     raise UnsupportedSetError(f"unknown set variant {set_!r}")
 
 

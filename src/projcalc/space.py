@@ -169,17 +169,40 @@ class DualPoint(_Point):
 # these, so each formula is written once.
 
 
-def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float) -> float:
-    """(sum_s w_s |c_s|^e)^(1/e); raises when it overflows."""
-    val = float(np.sum(weights * np.abs(coords) ** exponent) ** (1.0 / exponent))
-    if not math.isfinite(val):
-        # |c|^e overflows long before the coordinates do (p = 10, |c| ~ 1e31).
-        raise NonFiniteError(f"norm of finite coordinates overflowed to {val}")
+def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float):
+    """(sum_s w_s |c_s|^e)^(1/e) over the last axis of a (..., n) array.
+
+    A float for one point, an array for a block of rows. The root is the
+    scalar pow, one value at a time: numpy's array power rounds differently
+    in a few percent of inputs, and the scalar root keeps every row of a
+    block bit-identical to the same point on its own. Raises when a norm
+    overflows.
+    """
+    sums = np.add.reduce(weights * np.abs(coords) ** exponent, axis=-1)
+    inv = 1.0 / exponent
+    if sums.ndim == 0:
+        root = float(sums) ** inv
+    else:
+        root = np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
+    # |c|^e overflows long before the coordinates do (p = 10, |c| ~ 1e31).
+    return _finite(root, "norm")
+
+
+def _pair(weights: np.ndarray, dual: np.ndarray, primal: np.ndarray):
+    """sum_s w_s dual_s primal_s over the last axis; raises when it overflows."""
+    return _finite(np.add.reduce(weights * dual * primal, axis=-1), "pairing")
+
+
+def _finite(val, what: str):
+    """A scalar as a float, or the array, once every entry is finite."""
+    if isinstance(val, float):  # np.float64 included
+        val = float(val)
+        ok = math.isfinite(val)
+    else:
+        ok = bool(np.isfinite(val).all())
+    if not ok:
+        raise NonFiniteError(f"{what} of finite coordinates overflowed")
     return val
-
-
-def _pair(weights: np.ndarray, dual: np.ndarray, primal: np.ndarray) -> float:
-    return float(np.sum(weights * dual * primal))
 
 
 def _duality(coords: np.ndarray, exponent: float, nrm: float, tol: float) -> np.ndarray:

@@ -173,6 +173,18 @@ class TestUsageErrors:
         assert err.startswith("error:") and "nope" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--radii", "a,b", "--point", "[0.5,0]"], ["--point", '["a", 0]']],
+        ids=["radii", "point"],
+    )
+    def test_unparsable_oracle_numbers_print_one_error_line(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--set", "ball", *flags, "--xstar", "[0,0]", "--ystar", "[0,0]"])
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert "'a'" in exc.value.code
+
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os
         import subprocess

@@ -2,10 +2,12 @@
 byte for byte, apart from the timestamp line.
 
 The files under tests/golden/ hold the reports with the timestamp line
-removed. After an intended change to a report, regenerate them with
+removed. After an intended change to a report, regenerate them from the
+repository root with
 
-    projcalc run --suite all --samples 10 --seed 7 --p 3 --weights random \
-        | grep -v '^  "timestamp": ' > tests/golden/run_all_seed7_samples10_p3_random.json
+    PYTHONPATH=src python3 -m projcalc.cli run --suite all --samples 10 --seed 7 \
+        --p 3 --weights random | grep -v '^  "timestamp": ' \
+        > tests/golden/run_all_seed7_samples10_p3_random.json
 
 (and likewise for p = 2 with ones weights) and record why in CHANGES.md.
 """

@@ -157,6 +157,13 @@ class TestVerdicts:
             assert np.array_equal(a.u.coords, b.u.coords)
             assert a.quotient == b.quotient
 
+    def test_radius_below_the_base_points_resolution_is_degenerate(self):
+        # 1e20 + 0.1 == 1e20, so the probe along the base ray is the base point.
+        sp = pc.SpaceConfig(n=2, p=2.0)
+        xb = sp.primal([1e20, 0.0])
+        with pytest.raises(pc.DegenerateInputError):
+            pc.test_membership(pc.Ball(1.0), xb, sp.zero_dual(), sp.zero_dual(), FAST)
+
     def test_no_directions_configured(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
         cfg = pc.OracleConfig(seed=1, directions_per_radius=0, structured_probes=False)
@@ -197,3 +204,31 @@ class TestConeVerdicts:
         above = sp.dual([1.4, 0.3, 1.0])
         v = pc.test_membership(cone, theta, above, psi, FAST)
         assert isinstance(v, pc.RejectedWithWitness)
+
+
+class TestDrawContract:
+    """One Philox block per (seed, radius index): draws form a prefix in the
+    direction count and do not depend on the other radii."""
+
+    def _query(self, rng):
+        sp = pc.SpaceConfig(n=4, p=3.0, weights=rng.uniform(0.5, 2.0, 4))
+        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        return pc.Ball(1.0), xb, random_dual(sp, rng), pc.duality_map(xb)
+
+    def test_more_directions_extend_the_draws(self, rng):
+        query = self._query(rng)
+        few, many = (
+            pc.test_membership(
+                *query, pc.OracleConfig(seed=5, directions_per_radius=m, structured_probes=False)
+            ).max_quotient_per_radius
+            for m in (64, 128)
+        )
+        assert all(b >= a for a, b in zip(few, many))
+
+    def test_dropping_the_last_radius_keeps_the_earlier_maxima(self, rng):
+        query = self._query(rng)
+        full = pc.OracleConfig(seed=5, directions_per_radius=64)
+        short = pc.OracleConfig(seed=5, directions_per_radius=64, radii=full.radii[:-1])
+        a = pc.test_membership(*query, full).max_quotient_per_radius
+        b = pc.test_membership(*query, short).max_quotient_per_radius
+        assert np.array_equal(np.array(a[:-1]), np.array(b))

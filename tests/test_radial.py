@@ -60,16 +60,30 @@ class TestBallIsFullMaskCylinder:
                 pc.classify_direction(set_, xb, sp.zero_primal())
 
 
-def test_cylinder_witness_quotient_reproduces_bit_for_bit(rng):
+@pytest.mark.parametrize(
+    "set_",
+    [
+        pc.Ball(1.0),
+        pc.Cylinder(1.0, frozenset({0, 2, 3})),
+        pc.CoordSubspace(frozenset({1, 4})),
+        pc.PositiveCone(),
+    ],
+    ids=["ball", "cylinder", "subspace", "cone"],
+)
+def test_witness_quotient_reproduces_bit_for_bit(rng, set_):
+    # The oracle's block pass and coderiv_quotient's one-row pass share one
+    # kernel, so the recorded witness quotient comes back exactly.
     sp = pc.SpaceConfig(n=6, p=3.0, weights=rng.uniform(0.5, 2.0, 6))
-    cyl = pc.Cylinder(1.0, frozenset({0, 2, 3}))
-    xb = boundary_point(sp, cyl, rng)
+    if isinstance(set_, (pc.Ball, pc.Cylinder)):
+        xb = boundary_point(sp, set_, rng)
+    else:
+        xb = random_primal(sp, rng)
     xs = random_dual(sp, rng)
     ys = pc.duality_map(xb)
     cfg = pc.OracleConfig(directions_per_radius=16, seed=3)
-    verdict = pc.test_membership(cyl, xb, xs, ys, cfg)
+    verdict = pc.test_membership(set_, xb, xs, ys, cfg)
     assert isinstance(verdict, pc.RejectedWithWitness)
-    assert pc.coderiv_quotient(cyl, xb, xs, ys, verdict.u) == verdict.quotient
+    assert pc.coderiv_quotient(set_, xb, xs, ys, verdict.u) == verdict.quotient
 
 
 class TestNonFinite:
@@ -95,3 +109,21 @@ class TestNonFinite:
             pc.set_contains(pc.Ball(1.0), x)
         with pytest.raises(pc.NonFiniteError):
             pc.norm_dual(sp.dual([1e300, -1e300, 0.0, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_pairing_raises(self):
+        sp = pc.SpaceConfig(n=2, p=2.0)
+        with pytest.raises(pc.NonFiniteError):
+            pc.pair(sp.dual([1e200, 0.0]), sp.primal([1e200, 0.0]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_quotient_numerator_raises_instead_of_witnessing(self):
+        # No norm of x* is taken without structured probes, so only the
+        # numerator's pairing sees the overflow; it used to give quotient inf.
+        sp = pc.SpaceConfig(n=2, p=2.0)
+        ball, xb, xs = pc.Ball(1.0), sp.zero_primal(), sp.dual([1e305, 0.0])
+        with pytest.raises(pc.NonFiniteError):
+            pc.coderiv_quotient(ball, xb, xs, sp.zero_dual(), sp.primal([1e5, 0.0]))
+        cfg = pc.OracleConfig(radii=(1e5, 1e4), directions_per_radius=8, structured_probes=False)
+        with pytest.raises(pc.NonFiniteError):
+            pc.test_membership(ball, xb, xs, sp.zero_dual(), cfg)
