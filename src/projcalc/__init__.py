@@ -34,6 +34,7 @@ from .derivatives import (
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    InvalidSetError,
     NoDerivativeError,
     NonFiniteError,
     NotOnBoundaryError,

@@ -13,6 +13,10 @@ On the boundary no linear derivative exists; ``nonsmoothness_witness``
 exhibits a direction v whose one-sided difference quotients fail the odd
 symmetry P'(v) = -P'(-v) by a definite margin.
 
+Finite differences are array passes: ``gateaux_fd`` projects every step of
+its schedule as one block, and the witness search evaluates every probe,
+forward and backward, in one block before taking the first qualifying probe.
+
 Boundary directions split into an "up" set (the masked norm exceeds r for
 small t > 0) and a "down" set (it stays <= r). The first-order slope
 d = psi(xb_M, v_M) decides: d < 0 is down, d > 0 is up, and d = 0 with a
@@ -39,12 +43,11 @@ from .projections import (
     Cylinder,
     PositiveCone,
     RegionKind,
+    _project_coords,
     _radial,
     classify_region,
-    mask_restrict,
-    project,
 )
-from .space import PrimalPoint, _duality, _norm, _pair, is_theta, norm_primal, smoothness
+from .space import PrimalPoint, _duality, _finite, _norm, _pair, is_theta, smoothness
 
 
 class DirectionKind(Enum):
@@ -142,39 +145,47 @@ def gateaux_fd(
     v: PrimalPoint,
     sched: FDSchedule = DEFAULT_SCHEDULE,
 ) -> FDEstimate:
-    """One-sided difference quotients (P(x + t v) - P(x))/t along the schedule."""
+    """One-sided difference quotients (P(x + t v) - P(x))/t along the schedule,
+    every step in one (steps, n) projection block."""
     if is_theta(v):
         raise DegenerateInputError("finite differences need a nonzero direction")
-    px = project(set_, x)
-    estimates = []
-    for t in sched.steps:
-        q = (1.0 / t) * (project(set_, x + t * v) - px)
-        estimates.append(q)
-    gaps = tuple(
-        norm_primal(b - a) for a, b in zip(estimates, estimates[1:])
-    )
+    x._check(v)
+    quotients = _difference_quotients(set_, x, v.coords, sched)
+    gaps = tuple(_norm(quotients[1:] - quotients[:-1], x.space.weights, x.space.p).tolist())
     converged = (not gaps) or gaps[-1] <= 10.0 * sched.tol
-    return FDEstimate(value=estimates[-1], gaps=gaps, converged=converged)
+    return FDEstimate(value=PrimalPoint(quotients[-1], x.space), gaps=gaps, converged=converged)
 
 
-def _witness_probes(set_: ConvexSet, xbar: PrimalPoint) -> list[PrimalPoint]:
+def _difference_quotients(
+    set_: ConvexSet, x: PrimalPoint, v: np.ndarray, sched: FDSchedule
+) -> np.ndarray:
+    """(P(x + t v) - P(x))/t for every step t and every row v of a (..., n)
+    block of directions, as a (..., steps, n) array. Each row is formed in
+    the operand order of the point arithmetic, so it equals the quotient of
+    a single direction bit for bit."""
+    sp = x.space
+    t = np.array(sched.steps)[:, np.newaxis]
+    step = _finite(x.coords + np.expand_dims(v, -2) * t, "the step x + t v")
+    px = _project_coords(set_, sp, x.coords)
+    return (_project_coords(set_, sp, step) - px) * (1.0 / t)
+
+
+def _witness_probes(set_: ConvexSet, xbar: PrimalPoint) -> np.ndarray:
+    """The probe directions as rows v0, -v0, v1, -v1, ...: the point, its
+    masked part for a cylinder, every axis, and the cylinder's masked axes
+    once more."""
     sp = xbar.space
-    probes: list[PrimalPoint] = []
-    if not is_theta(xbar):
-        probes += [xbar, -xbar]
+    eye = np.eye(sp.n)
+    rays = [xbar.coords] if not is_theta(xbar) else []
     if isinstance(set_, Cylinder):
-        xm = mask_restrict(xbar, set_.mask)
-        if not is_theta(xm):
-            probes += [xm, -xm]
-    coords = np.eye(sp.n)
-    for i in range(sp.n):
-        e = sp.primal(coords[i])
-        probes += [e, -e]
+        xm = np.where(_radial(set_, sp.n)[1], xbar.coords, 0.0)
+        if _norm(xm, sp.weights, sp.p) > sp.theta_tol:
+            rays.append(xm)
+    rays += list(eye)
     if isinstance(set_, Cylinder):
-        for i in sorted(set_.mask):
-            e = sp.primal(coords[i])
-            probes += [e, -e]
-    return probes
+        rays += [eye[i] for i in sorted(set_.mask)]
+    rays = np.array(rays)
+    return np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
 
 
 def nonsmoothness_witness(
@@ -186,9 +197,11 @@ def nonsmoothness_witness(
     derivative exists at xbar.
 
     The defect of a probe v is ||P'(xbar; v) + P'(xbar; -v)|| estimated by
-    one-sided differences; a linear derivative would make it vanish. Returns
-    the first probe with defect >= 0.1 ||v||, or None if the probe list is
-    exhausted (which indicates the point is not genuinely nonsmooth).
+    one-sided differences; a linear derivative would make it vanish. Every
+    probe, forward and backward, is one (2, probes, steps, n) block of
+    difference quotients. Returns the first probe in list order with defect
+    >= 0.1 ||v||, or None if no probe qualifies (which indicates the point
+    is not genuinely nonsmooth).
     """
     if isinstance(set_, (Ball, Cylinder)):
         tag = classify_region(set_, xbar)
@@ -200,10 +213,12 @@ def nonsmoothness_witness(
             raise NotOnBoundaryError("cone witnesses need at least one zero coordinate")
     else:
         raise UnsupportedSetError("the subspace projection is linear, hence smooth")
-    for v in _witness_probes(set_, xbar):
-        fwd = gateaux_fd(set_, xbar, v, sched).value
-        bwd = gateaux_fd(set_, xbar, -v, sched).value
-        defect = norm_primal(fwd + bwd)
-        if defect >= 0.1 * norm_primal(v):
-            return Witness(direction=v, defect=defect)
-    return None
+    sp = xbar.space
+    probes = _witness_probes(set_, xbar)
+    limits = _difference_quotients(set_, xbar, np.stack([probes, -probes]), sched)[:, :, -1]
+    defects = _norm(limits[0] + limits[1], sp.weights, sp.p)
+    hits = np.flatnonzero(defects >= 0.1 * _norm(probes, sp.weights, sp.p))
+    if hits.size == 0:
+        return None
+    i = hits[0]
+    return Witness(direction=PrimalPoint(probes[i], sp), defect=float(defects[i]))

@@ -31,3 +31,7 @@ class PreconditionError(ProjcalcError):
 
 class NonFiniteError(ProjcalcError, ValueError):
     """A coordinate, or a norm computed from finite coordinates, is not finite."""
+
+
+class InvalidSetError(ProjcalcError, ValueError):
+    """A set's parameters are invalid: a nonpositive radius or an empty mask."""

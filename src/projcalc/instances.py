@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .projections import Ball, ConvexSet, CoordSubspace, Cylinder, PositiveCone, mask_restrict
-from .projections import _masked_norm, _radial
+from .projections import _mask_array, _masked_norm, _radial
 from .space import PrimalPoint, SpaceConfig
 
 _KIND_CODES = {"ball": 1, "cylinder": 2, "cone": 3, "subspace": 4}
@@ -145,22 +145,36 @@ def _target_norm(regime: str, r: float, rng: np.random.Generator) -> float:
 def sample_in_set(
     set_: ConvexSet, space: SpaceConfig, rng: np.random.Generator, count: int
 ) -> list[PrimalPoint]:
-    """Feasible competitor samples, one generator per set variant."""
-    out = []
-    radial = isinstance(set_, (Ball, Cylinder))
-    if radial:
-        r, sel = _radial(set_, space.n)
-    for _ in range(count):
-        v = rng.standard_normal(space.n)
-        if radial:
-            if _masked_norm(space, sel, v) <= space.theta_tol:
-                out.append(space.primal(np.where(sel, 0.0, v)))
-                continue
-            out.append(_rescale_masked(space, sel, v, r * rng.uniform(0.0, 1.0)))
-        elif isinstance(set_, PositiveCone):
-            out.append(space.primal(np.abs(v)))
-        elif isinstance(set_, CoordSubspace):
-            out.append(mask_restrict(space.primal(v), set_.mask))
-        else:
-            raise ValueError(f"unknown set variant {set_!r}")
-    return out
+    """``count`` feasible competitor samples, one generator per set variant.
+
+    The draws keep one seeded order: row by row, ``standard_normal(n)``, and
+    for a ball or cylinder a ``uniform`` radius fraction only when the
+    row's masked norm exceeds ``theta_tol`` (a row whose masked part is
+    numerically zero keeps its unmasked part and is not rescaled). The
+    rows are then rescaled, or made nonnegative or restricted to the
+    subspace, as one (count, n) block.
+    """
+    n = space.n
+    if isinstance(set_, (Ball, Cylinder)):
+        r, sel = _radial(set_, n)
+        rows, targets = [], []
+        for _ in range(count):
+            v = rng.standard_normal(n)
+            if _masked_norm(space, sel, v) > space.theta_tol:
+                targets.append(r * rng.uniform(0.0, 1.0))
+            else:
+                v = np.where(sel, 0.0, v)
+                targets.append(0.0)
+            rows.append(v)
+        block = np.array(rows).reshape(count, n)
+        # A rescaled row's masked norm exceeds theta_tol, so the floor only keeps
+        # the zeroed rows (target 0) from dividing by zero.
+        nrm = np.maximum(_masked_norm(space, sel, block), space.theta_tol)
+        coords = np.where(sel, (np.array(targets) / nrm)[:, np.newaxis] * block, block)
+    elif isinstance(set_, PositiveCone):
+        coords = np.abs(rng.standard_normal((count, n)))
+    elif isinstance(set_, CoordSubspace):
+        coords = np.where(_mask_array(set_.mask, n), rng.standard_normal((count, n)), 0.0)
+    else:
+        raise ValueError(f"unknown set variant {set_!r}")
+    return [PrimalPoint(c, space) for c in coords]

@@ -37,11 +37,8 @@ from .projections import (
     ConvexSet,
     Cylinder,
     PositiveCone,
+    _mask_array,
     _project_coords,
-    mask_complement,
-    mask_restrict,
-    neg_part,
-    pos_part,
 )
 from .space import (
     DualPoint,
@@ -51,7 +48,6 @@ from .space import (
     _pair,
     duality_map_inv,
     is_theta,
-    norm_primal,
 )
 
 
@@ -154,66 +150,49 @@ def _quotient_rows(
     return num, _norm(du, sp.weights, sp.p), _norm(dp, sp.weights, sp.p)
 
 
-def _unitize(v: PrimalPoint) -> PrimalPoint | None:
-    nrm = norm_primal(v)
-    if nrm <= v.space.theta_tol:
-        return None
-    return (1.0 / nrm) * v
-
-
 def structured_probes(
     set_: ConvexSet,
     xbar: PrimalPoint,
     xstar: DualPoint,
     ystar: DualPoint,
 ) -> list[PrimalPoint]:
-    """Deterministic unit probe directions adapted to the set and the query."""
+    """Deterministic unit probe directions adapted to the set and the query.
+
+    The raw rays are stacked with their negatives (v0, -v0, v1, -v1, ...)
+    and unitized in one row-norm pass; rays of norm <= theta_tol are dropped.
+    """
+    _check_spaces(xbar, xstar, ystar)
     sp = xbar.space
-    raw: list[PrimalPoint] = []
-
-    def both(v: PrimalPoint) -> None:
-        raw.append(v)
-        raw.append(-v)
-
-    both(xbar)
-    jy = duality_map_inv(ystar)
-    jx = duality_map_inv(xstar)
-    both(jy)
-    both(jx)
+    x = xbar.coords
+    jy = duality_map_inv(ystar).coords
+    jx = duality_map_inv(xstar).coords
+    rays = [x, jy, jx]
     if not is_theta(xbar):
-        anchor = Anchor.at(xbar)
-        both(duality_map_inv(o_star(anchor, ystar)))
+        rays.append(duality_map_inv(o_star(Anchor.at(xbar), ystar)).coords)
 
     if isinstance(set_, Cylinder):
-        comp = mask_complement(set_.mask, sp.n)
-        for v in (xbar, jy, jx):
-            both(mask_restrict(v, set_.mask))
-            both(mask_restrict(v, comp))
+        sel = _mask_array(set_.mask, sp.n)
+        for v in (x, jy, jx):
+            rays += [np.where(sel, v, 0.0), np.where(sel, 0.0, v)]
 
     if isinstance(set_, PositiveCone):
         for v in (jy, jx):
-            both(pos_part(v))
-            both(neg_part(v))
+            rays += [np.where(v > 0.0, v, 0.0), np.where(v < 0.0, v, 0.0)]
         # Sign-restricted rays used by the componentwise rejection arguments:
         # where the point is positive, and where the candidate exceeds the query.
-        pos_mask = frozenset(np.flatnonzero(xbar.coords > 0.0).tolist())
-        if pos_mask:
-            both(mask_restrict(jy, pos_mask))
-            both(mask_restrict(jx, pos_mask))
-        over_mask = frozenset(np.flatnonzero(xstar.coords - ystar.coords > 0.0).tolist())
-        if over_mask:
-            both(mask_restrict(jx, over_mask))
+        pos = x > 0.0
+        if pos.any():
+            rays += [np.where(pos, jy, 0.0), np.where(pos, jx, 0.0)]
+        over = xstar.coords - ystar.coords > 0.0
+        if over.any():
+            rays.append(np.where(over, jx, 0.0))
 
-    eye = np.eye(sp.n)
-    for i in range(sp.n):
-        both(sp.primal(eye[i]))
-
-    probes = []
-    for v in raw:
-        unit = _unitize(v)
-        if unit is not None:
-            probes.append(unit)
-    return probes
+    rays += list(np.eye(sp.n))
+    rays = np.array(rays)
+    raw = np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
+    nrm = _norm(raw, sp.weights, sp.p)
+    keep = nrm > sp.theta_tol
+    return [PrimalPoint(c, sp) for c in raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]]
 
 
 def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:

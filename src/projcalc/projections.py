@@ -27,8 +27,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError, UnsupportedSetError
-from .space import PrimalPoint, _norm, duality_map, is_theta, norm_primal, pair
+from .errors import (
+    DimensionMismatchError,
+    InvalidSetError,
+    PreconditionError,
+    UnsupportedSetError,
+)
+from .space import PrimalPoint, _norm, _pair, duality_map, is_theta
 
 # Boundary band, relative to the radius. Boundary cases are constructed
 # exactly in tests, so the band only has to absorb rounding.
@@ -43,7 +48,7 @@ class Ball:
 
     def __post_init__(self):
         if not self.r > 0.0:
-            raise ValueError(f"ball radius must be positive, got {self.r}")
+            raise InvalidSetError(f"ball radius must be positive, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,10 @@ class Cylinder:
 
     def __post_init__(self):
         if not self.r > 0.0:
-            raise ValueError(f"cylinder radius must be positive, got {self.r}")
+            raise InvalidSetError(f"cylinder radius must be positive, got {self.r}")
         object.__setattr__(self, "mask", frozenset(self.mask))
         if not self.mask:
-            raise ValueError("cylinder mask must be nonempty")
+            raise InvalidSetError("cylinder mask must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -150,14 +155,20 @@ def neg_part(f):
 
 
 def set_contains(set_: ConvexSet, x: PrimalPoint, tol: float = SET_MEMBERSHIP_TOL) -> bool:
+    return bool(_contains_coords(set_, x.space, x.coords, tol))
+
+
+def _contains_coords(set_: ConvexSet, space, coords: np.ndarray, tol: float = SET_MEMBERSHIP_TOL):
+    """``set_contains`` on every row of a (..., n) coordinate array."""
     if isinstance(set_, (Ball, Cylinder)):
-        r, sel = _radial(set_, x.space.n)
-        return _masked_norm(x.space, sel, x.coords) <= r * (1.0 + tol)
+        r, sel = _radial(set_, space.n)
+        return _masked_norm(space, sel, coords) <= r * (1.0 + tol)
+    scale = np.maximum(1.0, _norm(coords, space.weights, space.p))
     if isinstance(set_, CoordSubspace):
-        comp = mask_complement(set_.mask, x.space.n)
-        return norm_primal(mask_restrict(x, comp)) <= tol * max(1.0, norm_primal(x))
+        comp = ~_mask_array(set_.mask, space.n)
+        return _norm(np.where(comp, coords, 0.0), space.weights, space.p) <= tol * scale
     if isinstance(set_, PositiveCone):
-        return bool(np.all(x.coords >= -tol * max(1.0, norm_primal(x))))
+        return np.all(coords >= np.expand_dims(-tol * scale, -1), axis=-1)
     raise UnsupportedSetError(f"unknown set variant {set_!r}")
 
 
@@ -214,14 +225,17 @@ def variational_residual(
 
     A value >= -tol is consistent with u being the projection of x; a
     clearly negative value certifies that it is not. Every sample must lie
-    in the set.
+    in the set and in the space of x. The competitors are checked and paired
+    as one (k, n) block.
     """
     if not z_samples:
         raise PreconditionError("variational residual needs at least one competitor")
     for z in z_samples:
-        if not set_contains(set_, z):
-            raise PreconditionError("competitor sample lies outside the set")
+        u._check(z)
+    zs = np.array([z.coords for z in z_samples])
+    if not _contains_coords(set_, x.space, zs).all():
+        raise PreconditionError("competitor sample lies outside the set")
     g = duality_map(x - u)
     if is_theta(g):
         return 0.0
-    return min(pair(g, u - z) for z in z_samples)
+    return float(np.min(_pair(x.space.weights, g.coords, u.coords - zs)))

@@ -381,7 +381,8 @@ def _suite_projections(ctx: _Ctx) -> None:
                 fixed_ok = False
             zs = sample_in_set(set_, sp, rng, 40)
             du = spc.norm_primal(x - u)
-            worst_dist = max(worst_dist, max(du - spc.norm_primal(x - z) for z in zs))
+            dz = spc._norm(x.coords - np.array([z.coords for z in zs]), sp.weights, sp.p)
+            worst_dist = max(worst_dist, float(np.max(du - dz)))
             worst_resid = min(worst_resid, pj.variational_residual(set_, x, u, zs))
         ok = fixed_ok and worst_dist <= ctx.tol(1e-9) and worst_resid >= -ctx.tol(1e-8)
         ctx.check(

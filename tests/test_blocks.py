@@ -1,0 +1,383 @@
+"""The verifier's block passes against the per-point loops they replaced.
+
+Competitor sampling, the variational residual, finite differences, the
+nonsmoothness witness and the oracle's structured probes each run one array
+pass over a block of rows. The reference functions below are the earlier
+per-point loops, kept verbatim in terms of typed points; every block result
+must equal them bit for bit, and the sampler must leave the generator in the
+same state.
+"""
+
+import numpy as np
+import pytest
+
+import projcalc as pc
+from projcalc.decomposition import Anchor, o_star
+from projcalc.derivatives import DEFAULT_SCHEDULE
+from projcalc.instances import _rescale_masked, point_at_norm, sample_in_set
+from projcalc.oracle import structured_probes
+from projcalc.projections import _masked_norm, _radial
+
+P_GRID = [1.1, 1.5, 2.0, 3.0, 7.0, 10.0]
+N = 6
+SET_KINDS = ["ball", "cylinder", "full-cylinder", "cone", "subspace"]
+
+
+# -- references: the per-point loops -----------------------------------------
+
+
+def _ref_sample_in_set(set_, space, rng, count):
+    out = []
+    radial = isinstance(set_, (pc.Ball, pc.Cylinder))
+    if radial:
+        r, sel = _radial(set_, space.n)
+    for _ in range(count):
+        v = rng.standard_normal(space.n)
+        if radial:
+            if _masked_norm(space, sel, v) <= space.theta_tol:
+                out.append(space.primal(np.where(sel, 0.0, v)))
+                continue
+            out.append(_rescale_masked(space, sel, v, r * rng.uniform(0.0, 1.0)))
+        elif isinstance(set_, pc.PositiveCone):
+            out.append(space.primal(np.abs(v)))
+        elif isinstance(set_, pc.CoordSubspace):
+            out.append(pc.mask_restrict(space.primal(v), set_.mask))
+    return out
+
+
+def _ref_set_contains(set_, x, tol=1e-9):
+    if isinstance(set_, (pc.Ball, pc.Cylinder)):
+        r, sel = _radial(set_, x.space.n)
+        return _masked_norm(x.space, sel, x.coords) <= r * (1.0 + tol)
+    if isinstance(set_, pc.CoordSubspace):
+        comp = pc.mask_complement(set_.mask, x.space.n)
+        return pc.norm_primal(pc.mask_restrict(x, comp)) <= tol * max(1.0, pc.norm_primal(x))
+    return bool(np.all(x.coords >= -tol * max(1.0, pc.norm_primal(x))))
+
+
+def _ref_variational_residual(set_, x, u, z_samples):
+    for z in z_samples:
+        assert _ref_set_contains(set_, z)
+    g = pc.duality_map(x - u)
+    if pc.is_theta(g):
+        return 0.0
+    return min(pc.pair(g, u - z) for z in z_samples)
+
+
+def _ref_gateaux_fd(set_, x, v, sched=DEFAULT_SCHEDULE):
+    px = pc.project(set_, x)
+    estimates = []
+    for t in sched.steps:
+        estimates.append((1.0 / t) * (pc.project(set_, x + t * v) - px))
+    gaps = tuple(pc.norm_primal(b - a) for a, b in zip(estimates, estimates[1:]))
+    converged = (not gaps) or gaps[-1] <= 10.0 * sched.tol
+    return estimates[-1], gaps, converged
+
+
+def _ref_witness(set_, xbar):
+    sp = xbar.space
+    probes = []
+    if not pc.is_theta(xbar):
+        probes += [xbar, -xbar]
+    if isinstance(set_, pc.Cylinder):
+        xm = pc.mask_restrict(xbar, set_.mask)
+        if not pc.is_theta(xm):
+            probes += [xm, -xm]
+    eye = np.eye(sp.n)
+    for i in range(sp.n):
+        e = sp.primal(eye[i])
+        probes += [e, -e]
+    if isinstance(set_, pc.Cylinder):
+        for i in sorted(set_.mask):
+            e = sp.primal(eye[i])
+            probes += [e, -e]
+    for v in probes:
+        fwd = _ref_gateaux_fd(set_, xbar, v)[0]
+        bwd = _ref_gateaux_fd(set_, xbar, -v)[0]
+        defect = pc.norm_primal(fwd + bwd)
+        if defect >= 0.1 * pc.norm_primal(v):
+            return v, defect
+    return None
+
+
+def _ref_structured_probes(set_, xbar, xstar, ystar):
+    sp = xbar.space
+    raw = []
+
+    def both(v):
+        raw.append(v)
+        raw.append(-v)
+
+    both(xbar)
+    jy = pc.duality_map_inv(ystar)
+    jx = pc.duality_map_inv(xstar)
+    both(jy)
+    both(jx)
+    if not pc.is_theta(xbar):
+        both(pc.duality_map_inv(o_star(Anchor.at(xbar), ystar)))
+    if isinstance(set_, pc.Cylinder):
+        comp = pc.mask_complement(set_.mask, sp.n)
+        for v in (xbar, jy, jx):
+            both(pc.mask_restrict(v, set_.mask))
+            both(pc.mask_restrict(v, comp))
+    if isinstance(set_, pc.PositiveCone):
+        for v in (jy, jx):
+            both(pc.pos_part(v))
+            both(pc.neg_part(v))
+        pos_mask = frozenset(np.flatnonzero(xbar.coords > 0.0).tolist())
+        if pos_mask:
+            both(pc.mask_restrict(jy, pos_mask))
+            both(pc.mask_restrict(jx, pos_mask))
+        over_mask = frozenset(np.flatnonzero(xstar.coords - ystar.coords > 0.0).tolist())
+        if over_mask:
+            both(pc.mask_restrict(jx, over_mask))
+    eye = np.eye(sp.n)
+    for i in range(sp.n):
+        both(sp.primal(eye[i]))
+    probes = []
+    for v in raw:
+        nrm = pc.norm_primal(v)
+        if nrm > sp.theta_tol:
+            probes.append((1.0 / nrm) * v)
+    return probes
+
+
+# -- the grid ---------------------------------------------------------------------
+
+
+def _bits(a):
+    """The raw bytes of a float array: -0.0 and 0.0 differ."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def _make_set(kind):
+    return {
+        "ball": pc.Ball(1.3),
+        "cylinder": pc.Cylinder(1.3, frozenset({0, 2, 3})),
+        "full-cylinder": pc.Cylinder(1.3, frozenset(range(N))),
+        "cone": pc.PositiveCone(),
+        "subspace": pc.CoordSubspace(frozenset({1, 4})),
+    }[kind]
+
+
+def _space(p, weights, seed):
+    w = None if weights == "ones" else np.random.default_rng(seed).uniform(0.5, 2.0, N)
+    return pc.SpaceConfig(n=N, p=p, weights=w)
+
+
+GRID = [
+    pytest.param(p, w, kind, id=f"p{p}-{w}-{kind}")
+    for p in P_GRID
+    for w in ("ones", "random")
+    for kind in SET_KINDS
+]
+
+
+def _case(p, weights, kind):
+    seed = int(p * 10) + 100 * SET_KINDS.index(kind) + (7 if weights == "random" else 0)
+    return _space(p, weights, seed), _make_set(kind), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_sample_in_set_rows_and_draw_order(p, weights, kind):
+    sp, set_, _ = _case(p, weights, kind)
+    got_rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for count in (1, 7, 40):
+        got = sample_in_set(set_, sp, got_rng, count)
+        ref = _ref_sample_in_set(set_, sp, ref_rng, count)
+        assert [_bits(z.coords) for z in got] == [_bits(z.coords) for z in ref]
+        assert all(type(z) is pc.PrimalPoint and z.space is sp for z in got)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert got_rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_set_contains_matches_the_point_check(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    for scale in (0.3, 1.0, 1.3, 3.0):
+        for _ in range(10):
+            x = sp.primal(scale * rng.standard_normal(sp.n))
+            for y in (x, pc.project(set_, x)):
+                assert pc.set_contains(set_, y) is _ref_set_contains(set_, y)
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_variational_residual(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    for _ in range(6):
+        x = sp.primal(2.0 * rng.standard_normal(sp.n))
+        zs = sample_in_set(set_, sp, rng, 25)
+        # The projection, a feasible non-projection, and x itself when feasible.
+        for u in (pc.project(set_, x), zs[0], pc.project(set_, pc.project(set_, x))):
+            got = pc.variational_residual(set_, x, u, zs)
+            assert _bits(got) == _bits(_ref_variational_residual(set_, x, u, zs))
+            assert type(got) is float
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_gateaux_fd(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    points = [sp.primal(s * rng.standard_normal(sp.n)) for s in (0.3, 3.0)]
+    if kind not in ("cone", "subspace"):
+        points.append(point_at_norm(sp, set_, rng, set_.r))
+    one_step = pc.FDSchedule(steps=(1e-3,))
+    for x in points:
+        for sched in (DEFAULT_SCHEDULE, one_step):
+            v = sp.primal(rng.standard_normal(sp.n))
+            got = pc.gateaux_fd(set_, x, v, sched)
+            value, gaps, converged = _ref_gateaux_fd(set_, x, v, sched)
+            assert _bits(got.value.coords) == _bits(value.coords)
+            assert _bits(got.gaps) == _bits(gaps) and len(got.gaps) == len(gaps)
+            assert all(type(g) is float for g in got.gaps)
+            assert got.converged == converged
+
+
+def _witness_points(sp, set_, kind, rng):
+    if kind == "subspace":
+        return []
+    if kind != "cone":
+        return [point_at_norm(sp, set_, rng, set_.r) for _ in range(3)]
+    pts = []
+    for zero in (0, 3, N - 1):
+        c = np.abs(rng.standard_normal(sp.n)) + 0.1
+        c[zero] = 0.0
+        pts.append(sp.primal(c))
+        c = c.copy()
+        c[(zero + 1) % N] *= -1.0
+        pts.append(sp.primal(c))
+    return pts
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_nonsmoothness_witness(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    for xb in _witness_points(sp, set_, kind, rng):
+        got = pc.nonsmoothness_witness(set_, xb)
+        ref = _ref_witness(set_, xb)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert _bits(got.direction.coords) == _bits(ref[0].coords)
+            assert _bits(got.defect) == _bits(ref[1])
+
+
+def test_witness_returns_the_first_qualifying_probe_in_list_order():
+    # xbar and -xbar are smooth directions on the cone; the first hit is the
+    # axis probe at the first zero coordinate, after earlier axis probes.
+    sp = pc.SpaceConfig(n=N, p=3.0)
+    for coords in ([1.0, 2.0, -0.5, 0.0, 3.0, 0.0], [2.0, 0.5, 1.0, 1.5, 3.0, 0.0]):
+        xb = sp.primal(coords)
+        got = pc.nonsmoothness_witness(pc.PositiveCone(), xb)
+        ref = _ref_witness(pc.PositiveCone(), xb)
+        first_zero = coords.index(0.0)
+        assert np.array_equal(ref[0].coords, np.eye(N)[first_zero])
+        assert _bits(got.direction.coords) == _bits(ref[0].coords)
+        assert got.defect == ref[1]
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_structured_probes(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    bases = [sp.primal(rng.standard_normal(sp.n)), sp.zero_primal()]
+    if kind == "cone":
+        bases.append(sp.primal(np.where(rng.standard_normal(sp.n) > 0, 1.0, 0.0)))
+    for xbar in bases:
+        xstar = sp.dual(rng.standard_normal(sp.n))
+        for ystar in (sp.dual(rng.standard_normal(sp.n)), sp.zero_dual()):
+            got = structured_probes(set_, xbar, xstar, ystar)
+            ref = _ref_structured_probes(set_, xbar, xstar, ystar)
+            assert [_bits(d.coords) for d in got] == [_bits(d.coords) for d in ref]
+            assert all(type(d) is pc.PrimalPoint for d in got)
+
+
+# -- edge cases and error paths ------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_sample_in_set_of_zero_competitors_is_empty(kind):
+    sp, rng = _space(2.0, "ones", 0), np.random.default_rng(3)
+    assert sample_in_set(_make_set(kind), sp, rng, 0) == []
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+class _ZeroMaskedRow:
+    """A generator whose second normal row has a zero masked part."""
+
+    def __init__(self, seed, sel):
+        self._rng = np.random.default_rng(seed)
+        self._sel = sel
+        self._calls = 0
+
+    def standard_normal(self, n):
+        self._calls += 1
+        v = self._rng.standard_normal(n)
+        return np.where(self._sel, 0.0, v) if self._calls == 2 else v
+
+    def uniform(self, lo, hi):
+        return self._rng.uniform(lo, hi)
+
+
+@pytest.mark.parametrize("kind", ["ball", "cylinder"])
+def test_sample_row_with_zero_masked_part_skips_the_radius_draw(kind):
+    sp, set_ = _space(3.0, "random", 5), _make_set(kind)
+    sel = _radial(set_, sp.n)[1]
+    got_rng, ref_rng = _ZeroMaskedRow(9, sel), _ZeroMaskedRow(9, sel)
+    got = sample_in_set(set_, sp, got_rng, 5)
+    ref = _ref_sample_in_set(set_, sp, ref_rng, 5)
+    assert [_bits(z.coords) for z in got] == [_bits(z.coords) for z in ref]
+    assert not np.any(got[1].coords[sel])
+    assert got_rng._rng.random() == ref_rng._rng.random()
+
+
+class TestErrorPaths:
+    sp = pc.SpaceConfig(n=3, p=3.0)
+    ball = pc.Ball(1.0)
+
+    def _xu(self):
+        x = self.sp.primal([2.0, 0.5, -1.0])
+        return x, pc.project(self.ball, x)
+
+    def test_competitor_in_another_space(self):
+        x, u = self._xu()
+        other = pc.SpaceConfig(n=4, p=3.0).primal([0.1, 0.0, 0.0, 0.0])
+        with pytest.raises(pc.DimensionMismatchError):
+            pc.variational_residual(self.ball, x, u, [self.sp.primal([0.1, 0, 0]), other])
+
+    def test_competitor_outside_the_set(self):
+        x, u = self._xu()
+        with pytest.raises(pc.PreconditionError):
+            pc.variational_residual(self.ball, x, u, [self.sp.primal([2.0, 0.0, 0.0])])
+
+    def test_no_competitors(self):
+        x, u = self._xu()
+        with pytest.raises(pc.PreconditionError):
+            pc.variational_residual(self.ball, x, u, [])
+
+    def test_dual_competitor(self):
+        x, u = self._xu()
+        with pytest.raises(TypeError):
+            pc.variational_residual(self.ball, x, u, [self.sp.dual([0.1, 0.0, 0.0])])
+
+    def test_overflowing_competitor(self):
+        cone = pc.PositiveCone()
+        x = self.sp.primal([-1.0, 0.0, 0.0])
+        u = pc.project(cone, x)
+        with np.errstate(over="ignore"), pytest.raises(pc.NonFiniteError):
+            pc.variational_residual(cone, x, u, [self.sp.primal([1.5e308, 0.0, 0.0])])
+
+    def test_zero_direction(self):
+        with pytest.raises(pc.DegenerateInputError):
+            pc.gateaux_fd(self.ball, self.sp.primal([0.5, 0, 0]), self.sp.zero_primal())
+
+    def test_dual_direction(self):
+        with pytest.raises(TypeError):
+            pc.gateaux_fd(self.ball, self.sp.primal([0.5, 0, 0]), self.sp.dual([1.0, 0, 0]))
+
+    def test_direction_in_another_space(self):
+        v = pc.SpaceConfig(n=3, p=2.0).primal([1.0, 0, 0])
+        with pytest.raises(pc.DimensionMismatchError):
+            pc.gateaux_fd(self.ball, self.sp.primal([0.5, 0, 0]), v)
+
+    def test_overflowing_step(self):
+        x, v = self.sp.primal([1.79e308, 0.0, 0.0]), self.sp.primal([1e308, 0.0, 0.0])
+        with np.errstate(over="ignore"), pytest.raises(pc.NonFiniteError):
+            pc.gateaux_fd(pc.PositiveCone(), x, v)

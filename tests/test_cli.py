@@ -185,6 +185,25 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert "'a'" in exc.value.code
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--set", "ball", "--r", "-1", "--point", "[0.5,0]",
+             "--xstar", "[0,0]", "--ystar", "[0,0]"],
+            ["witness", "--set", "ball", "--r", "0", "--point", "[1,0]"],
+            ["oracle", "--set", "cylinder", "--mask", ",", "--point", "[0.5,0]",
+             "--xstar", "[0,0]", "--ystar", "[0,0]"],
+        ],
+        ids=["oracle-negative-radius", "witness-zero-radius", "oracle-empty-mask"],
+    )
+    def test_invalid_set_prints_one_error_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:")
+        assert "radius" in exc.value.code or "mask" in exc.value.code
+
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os
         import subprocess
