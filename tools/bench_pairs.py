@@ -15,7 +15,7 @@ pairs in which the change is better, in the direction ``BENCHMARK.json``
 declares (ties count for neither side).
 
     python3 tools/bench_pairs.py --workload verify-suite --seed 91 \\
-        --seconds 30 --pairs 10 --parent HEAD~1 --change HEAD --out BENCH_6.json
+        --seconds 30 --pairs 10 --parent HEAD~1 --change HEAD --out pairs.json
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Quartiles per side and per metric, and the change's wins per metric."""
     out: dict = {"median": {}, "q1": {}, "q3": {}, "wins": {}}
     for name, direction in better.items():
-        sides = {s: [pr[s]["metrics"][name] for pr in pairs] for s in ("parent", "change")}
+        sides = {s: [pair[s]["metrics"][name] for pair in pairs] for s in ("parent", "change")}
         for key, q in (("q1", 25), ("median", 50), ("q3", 75)):
             out[key][name] = {s: float(np.percentile(v, q)) for s, v in sides.items()}
         sign = 1.0 if direction == "higher" else -1.0
