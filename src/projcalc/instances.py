@@ -157,20 +157,18 @@ def sample_in_set(
     n = space.n
     if isinstance(set_, (Ball, Cylinder)):
         r, sel = _radial(set_, n)
-        rows, targets = [], []
+        rows, scales = [], []
         for _ in range(count):
             v = rng.standard_normal(n)
-            if _masked_norm(space, sel, v) > space.theta_tol:
-                targets.append(r * rng.uniform(0.0, 1.0))
+            nrm = _masked_norm(space, sel, v)
+            if nrm > space.theta_tol:
+                scales.append(r * rng.uniform(0.0, 1.0) / nrm)
             else:
                 v = np.where(sel, 0.0, v)
-                targets.append(0.0)
+                scales.append(0.0)
             rows.append(v)
         block = np.array(rows).reshape(count, n)
-        # A rescaled row's masked norm exceeds theta_tol, so the floor only keeps
-        # the zeroed rows (target 0) from dividing by zero.
-        nrm = np.maximum(_masked_norm(space, sel, block), space.theta_tol)
-        coords = np.where(sel, (np.array(targets) / nrm)[:, np.newaxis] * block, block)
+        coords = np.where(sel, np.array(scales)[:, np.newaxis] * block, block)
     elif isinstance(set_, PositiveCone):
         coords = np.abs(rng.standard_normal((count, n)))
     elif isinstance(set_, CoordSubspace):

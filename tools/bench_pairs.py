@@ -5,17 +5,18 @@ and runs one workload of the repository's benchmark (``python3
 perfbench/run.py``, unchanged) in each, for N pairs; the side that runs
 first alternates from pair to pair. Writes one JSON file:
 
-    {machine, nproc, python, numpy, workload, seed, seconds, metric,
+    {machine, nproc, python, numpy, workload, seed, seconds,
      parent, change, pairs[], median, q1, q3, wins}
 
-``pairs`` holds every run's end-to-end metrics and op counts, and which side
-ran first; ``median``, ``q1`` and ``q3`` give each metric's quartiles over
-the parent runs and over the change runs; ``wins`` counts, per metric, the
-pairs in which the change is better, in the direction ``BENCHMARK.json``
-declares (ties count for neither side).
+Each run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes. ``pairs``
+holds every run's end-to-end metrics and op counts, and which side ran
+first; ``median``, ``q1`` and ``q3`` give each metric's quartiles over the
+parent runs and over the change runs; ``wins`` counts, per metric, the pairs
+in which the change is better, in the direction ``BENCHMARK.json`` declares
+(ties count for neither side).
 
     python3 tools/bench_pairs.py --workload verify-suite --seed 91 \\
-        --seconds 30 --pairs 10 --parent HEAD~1 --change HEAD --out pairs.json
+        --pairs 10 --parent HEAD~1 --change HEAD --out pairs.json
 """
 
 from __future__ import annotations
@@ -90,18 +91,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
     ap.add_argument("--change", default="HEAD", help="git revision of the change")
-    ap.add_argument("--metric", default="ops_per_s", help="the claimed metric")
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    if args.metric not in better:
-        ap.error(f"--metric must be one of {sorted(better)}")
+    seconds = bench["run_seconds"]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -114,10 +112,10 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = _run(trees[side], args.workload, args.seed, args.seconds)
+                pair[side] = _run(trees[side], args.workload, args.seed, seconds)
             pairs.append(pair)
-            p, c = (pair[s]["metrics"][args.metric] for s in ("parent", "change"))
-            print(f"pair {i + 1}/{args.pairs}: {args.metric} {p:.4g} -> {c:.4g}", file=sys.stderr)
+            p, c = (pair[s]["metrics"]["ops_per_s"] for s in ("parent", "change"))
+            print(f"pair {i + 1}/{args.pairs}: ops_per_s {p:.4g} -> {c:.4g}", file=sys.stderr)
 
     doc = {
         "machine": _machine(),
@@ -126,18 +124,16 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
-        "metric": args.metric,
+        "seconds": seconds,
         "parent": revs["parent"],
         "change": revs["change"],
         "pairs": pairs,
         **summarize(pairs, better),
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    wins = doc["wins"][args.metric]
-    med = doc["median"][args.metric]
-    print(f"{args.metric}: median {med['parent']:.4g} -> {med['change']:.4g}, "
-          f"{wins}/{args.pairs} wins", file=sys.stderr)
+    for name, med in doc["median"].items():
+        print(f"{name}: median {med['parent']:.4g} -> {med['change']:.4g}, "
+              f"{doc['wins'][name]}/{args.pairs} wins", file=sys.stderr)
     return 0
 
 
