@@ -34,4 +34,4 @@ class NonFiniteError(ProjcalcError, ValueError):
 
 
 class InvalidSetError(ProjcalcError, ValueError):
-    """A set's parameters are invalid: a nonpositive radius or an empty mask."""
+    """A set's parameters are invalid: a radius outside (0, inf) or an empty mask."""

@@ -63,10 +63,12 @@ class OracleConfig:
     def __post_init__(self):
         if len(self.radii) < 2:
             raise ValueError("need at least two radii for a trend verdict")
-        if any(r <= 0.0 for r in self.radii):
-            raise ValueError("radii must be positive")
+        if not all(0.0 < r < math.inf for r in self.radii):
+            raise ValueError(f"radii must be positive and finite, got {self.radii}")
         if any(a <= b for a, b in zip(self.radii, self.radii[1:])):
             raise ValueError("radii must be strictly decreasing")
+        if not (math.isfinite(self.reject_threshold) and math.isfinite(self.accept_threshold)):
+            raise ValueError("thresholds must be finite")
         if self.reject_threshold <= self.accept_threshold:
             raise ValueError("reject threshold must exceed accept threshold")
         if self.accept_threshold <= 0.0:

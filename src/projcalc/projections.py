@@ -47,8 +47,8 @@ class Ball:
     r: float
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise InvalidSetError(f"ball radius must be positive, got {self.r}")
+        if not 0.0 < self.r < np.inf:
+            raise InvalidSetError(f"ball radius must be positive and finite, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class Cylinder:
     mask: frozenset[int]
 
     def __post_init__(self):
-        if not self.r > 0.0:
-            raise InvalidSetError(f"cylinder radius must be positive, got {self.r}")
+        if not 0.0 < self.r < np.inf:
+            raise InvalidSetError(f"cylinder radius must be positive and finite, got {self.r}")
         object.__setattr__(self, "mask", frozenset(self.mask))
         if not self.mask:
             raise InvalidSetError("cylinder mask must be nonempty")

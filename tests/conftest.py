@@ -21,18 +21,6 @@ def unit_primal(space, rng):
     return (1.0 / pc.norm_primal(x)) * x
 
 
-def boundary_point(space, set_, rng):
-    """A point with the relevant (masked) norm exactly at the radius."""
-    x = random_primal(space, rng)
-    if isinstance(set_, pc.Ball):
-        return (set_.r / pc.norm_primal(x)) * x
-    xm = pc.mask_restrict(x, set_.mask)
-    while pc.norm_primal(xm) <= space.theta_tol:
-        x = random_primal(space, rng)
-        xm = pc.mask_restrict(x, set_.mask)
-    return (set_.r / pc.norm_primal(xm)) * xm + (x - xm)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

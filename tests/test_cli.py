@@ -193,8 +193,15 @@ class TestUsageErrors:
             ["witness", "--set", "ball", "--r", "0", "--point", "[1,0]"],
             ["oracle", "--set", "cylinder", "--mask", ",", "--point", "[0.5,0]",
              "--xstar", "[0,0]", "--ystar", "[0,0]"],
+            ["oracle", "--set", "ball", "--r", "inf", "--point", "[0.5,0]",
+             "--xstar", "[0,0]", "--ystar", "[0,0]"],
+            ["oracle", "--set", "cylinder", "--r", "inf", "--mask", "0", "--point", "[0.5,0]",
+             "--xstar", "[0,0]", "--ystar", "[0,0]"],
+            ["witness", "--set", "ball", "--r", "nan", "--point", "[1,0]"],
         ],
-        ids=["oracle-negative-radius", "witness-zero-radius", "oracle-empty-mask"],
+        ids=["oracle-negative-radius", "witness-zero-radius", "oracle-empty-mask",
+             "oracle-infinite-ball-radius", "oracle-infinite-cylinder-radius",
+             "witness-nan-radius"],
     )
     def test_invalid_set_prints_one_error_line(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +210,29 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith("error:")
         assert "radius" in exc.value.code or "mask" in exc.value.code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--suite", "all", "--samples", "10", "--tol-scale", "nan"],
+            ["run", "--suite", "all", "--samples", "10", "--tol-scale", "inf"],
+            ["run", "--suite", "projections", "--r", "inf"],
+            ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
+             "--ystar", "[0,1]", "--reject-threshold", "nan"],
+            ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
+             "--ystar", "[0,1]", "--reject-threshold", "inf"],
+            ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
+             "--ystar", "[0,1]", "--radii", "0.1,nan"],
+        ],
+        ids=["run-tol-scale-nan", "run-tol-scale-inf", "run-infinite-radius",
+             "oracle-reject-threshold-nan", "oracle-reject-threshold-inf", "oracle-nan-radius"],
+    )
+    def test_non_finite_parameter_prints_one_error_line(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("invalid ") and "finite" in exc.value.code
 
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os

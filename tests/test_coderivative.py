@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import projcalc as pc
-from conftest import P_GRID, boundary_point, random_dual, random_primal
+from conftest import P_GRID, random_dual, random_primal
+from projcalc.instances import point_at_norm
 
 MEMBER = pc.Verdict.MEMBER
 NOT_MEMBER = pc.Verdict.NOT_MEMBER
@@ -128,7 +129,7 @@ class TestSphereMembership:
     def test_member_certificate_has_negative_multiple_alignment(self, rng):
         for p in P_GRID:
             sp = pc.SpaceConfig(n=5, p=p)
-            xb = boundary_point(sp, pc.Ball(1.0), rng)
+            xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             ys = -rng.uniform(0.3, 2.0) * pc.duality_map(xb)
             m = pc.sphere_theta_member(1.0, xb, ys)
             assert m.verdict is MEMBER
@@ -140,7 +141,7 @@ class TestSphereMembership:
         # twenty cases: the verdict must equal (tangential part vanishes and
         # the pairing is negative)
         sp = pc.SpaceConfig(n=4, p=2.0)
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         anchor = pc.Anchor.at(xb)
         cases = []
         for c in [0.5, 1.0, 2.0]:
@@ -169,19 +170,19 @@ class TestSphereMembership:
 class TestBallBoundaryDispatch:
     def test_zero_query_gives_zero_singleton(self, rng):
         sp = pc.SpaceConfig(n=3, p=3.0)
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         res = pc.coderiv_ball(1.0, xb, sp.zero_dual())
         assert isinstance(res, pc.Singleton) and pc.is_theta(res.value)
 
     def test_duality_image_query_gives_empty_fiber(self, rng):
         for p in P_GRID:
             sp = pc.SpaceConfig(n=3, p=p)
-            xb = boundary_point(sp, pc.Ball(1.0), rng)
+            xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             assert isinstance(pc.coderiv_ball(1.0, xb, pc.duality_map(xb)), pc.EmptyFiber)
 
     def test_other_queries_give_membership_reports(self, rng):
         sp = pc.SpaceConfig(n=3, p=2.0)
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         res = pc.coderiv_ball(1.0, xb, -2.0 * pc.duality_map(xb))
         assert isinstance(res, pc.ThetaMembership)
         assert res.verdict is MEMBER
@@ -191,7 +192,7 @@ class TestBallBoundaryDispatch:
         # no linear map could produce this fiber pattern
         for p in [1.5, 2.0, 3.0]:
             sp = pc.SpaceConfig(n=3, p=p)
-            xb = boundary_point(sp, pc.Ball(1.0), rng)
+            xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             y1 = -1.0 * pc.duality_map(xb)
             y2 = -2.0 * pc.duality_map(xb)
             assert pc.sphere_theta_member(1.0, xb, y1).verdict is MEMBER
@@ -244,7 +245,7 @@ class TestCylinder:
             sp = pc.SpaceConfig(n=4, p=p)
             mask = frozenset({0, 1})
             cyl = pc.Cylinder(1.0, mask)
-            xb = boundary_point(sp, cyl, rng)
+            xb = point_at_norm(sp, cyl, rng, cyl.r)
             ys = -1.0 * pc.mask_restrict(pc.duality_map(xb), mask)
             m = pc.cylinder_theta_member(1.0, mask, xb, ys)
             assert m.verdict is MEMBER
@@ -256,7 +257,7 @@ class TestCylinder:
         sp = pc.SpaceConfig(n=4, p=2.0)
         mask = frozenset({0, 1})
         cyl = pc.Cylinder(1.0, mask)
-        xb = boundary_point(sp, cyl, rng)
+        xb = point_at_norm(sp, cyl, rng, cyl.r)
         ys = -1.0 * pc.mask_restrict(pc.duality_map(xb), mask) + sp.dual([0, 0, 0, 1.0])
         m = pc.cylinder_theta_member(1.0, mask, xb, ys)
         assert m.verdict is NOT_MEMBER
@@ -267,7 +268,7 @@ class TestCylinder:
         sp = pc.SpaceConfig(n=4, p=3.0)
         mask = frozenset({0, 1, 2})
         cyl = pc.Cylinder(1.0, mask)
-        xb = boundary_point(sp, cyl, rng)
+        xb = point_at_norm(sp, cyl, rng, cyl.r)
         assert isinstance(pc.coderiv_cylinder(1.0, mask, xb, pc.duality_map(xb)), pc.EmptyFiber)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import projcalc as pc
-from conftest import P_GRID, boundary_point, random_primal
+from conftest import P_GRID, random_primal
 from projcalc.derivatives import DEFAULT_SCHEDULE
+from projcalc.instances import point_at_norm
 
 
 def exterior_point(sp, set_, rng):
@@ -79,7 +80,7 @@ class TestClassifyDirection:
         for kind in ["ball", "cylinder"]:
             set_ = pc.Ball(1.0) if kind == "ball" else pc.Cylinder(1.0, frozenset({0, 1, 2}))
             for _ in range(125):
-                xb = boundary_point(sp, set_, rng)
+                xb = point_at_norm(sp, set_, rng, set_.r)
                 v = random_primal(sp, rng)
                 cls = pc.classify_direction(set_, xb, v)
                 while abs(cls.slope) < 0.05:
@@ -231,7 +232,7 @@ class TestNonsmoothnessWitness:
                 xb = sp.primal(coords)
             else:
                 set_ = pc.Ball(1.0) if kind == "ball" else pc.Cylinder(1.0, frozenset({0, 1, 3}))
-                xb = boundary_point(sp, set_, rng)
+                xb = point_at_norm(sp, set_, rng, set_.r)
             w = pc.nonsmoothness_witness(set_, xb)
             assert w is not None
             assert w.defect >= 0.1 * pc.norm_primal(w.direction)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import projcalc as pc
-from conftest import boundary_point, random_dual, random_primal
+from conftest import random_dual, random_primal
+from projcalc.instances import point_at_norm
 
 FAST = pc.OracleConfig(seed=11, directions_per_radius=64)
 
@@ -20,6 +21,17 @@ class TestConfigValidation:
             pc.OracleConfig(radii=(1e-2, 1e-1))
         with pytest.raises(ValueError):
             pc.OracleConfig(reject_threshold=1e-4, accept_threshold=1e-3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"radii": (1e-1, math.nan)}, {"radii": (math.inf, 1e-1)},
+         {"reject_threshold": math.nan}, {"reject_threshold": math.inf},
+         {"accept_threshold": math.nan}],
+        ids=["radius-nan", "radius-inf", "reject-nan", "reject-inf", "accept-nan"],
+    )
+    def test_rejects_non_finite_radii_and_thresholds(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            pc.OracleConfig(**kwargs)
 
 
 class TestQuotient:
@@ -64,7 +76,7 @@ class TestQuotient:
     def test_denominator_equivalence(self, rng):
         sp = pc.SpaceConfig(n=4, p=3.0)
         ball = pc.Ball(1.0)
-        xb = boundary_point(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         for _ in range(50):
             xs, ys = random_dual(sp, rng), random_dual(sp, rng)
             u = xb + rng.uniform(1e-4, 1e-1) * random_primal(sp, rng)
@@ -111,7 +123,7 @@ class TestVerdicts:
     def test_empty_fiber_rejects_arbitrary_candidates(self, rng):
         sp = pc.SpaceConfig(n=3, p=1.5)
         ball = pc.Ball(1.0)
-        xb = boundary_point(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         jx = pc.duality_map(xb)
         for _ in range(5):
             xs = random_dual(sp, rng)
@@ -122,7 +134,7 @@ class TestVerdicts:
         # at least one of the two rays through the base point has an
         # order-one quotient for every candidate
         sp = pc.SpaceConfig(n=3, p=2.0)
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         jx = pc.duality_map(xb)
         t = 1e-4
         for _ in range(10):
@@ -135,7 +147,7 @@ class TestVerdicts:
 
     def test_monotone_evidence_for_members(self, rng):
         sp = pc.SpaceConfig(n=4, p=3.0)
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         ys = -1.3 * pc.duality_map(xb)
         v = pc.test_membership(pc.Ball(1.0), xb, sp.zero_dual(), ys, FAST)
         assert isinstance(v, pc.NotRejected)
@@ -147,7 +159,7 @@ class TestVerdicts:
     def test_determinism(self, rng):
         sp = pc.SpaceConfig(n=3, p=3.0)
         ball = pc.Ball(1.0)
-        xb = boundary_point(sp, ball, rng)
+        xb = point_at_norm(sp, ball, rng, ball.r)
         ys = random_dual(sp, rng)
         a = pc.test_membership(ball, xb, sp.zero_dual(), ys, FAST)
         b = pc.test_membership(ball, xb, sp.zero_dual(), ys, FAST)
@@ -212,7 +224,7 @@ class TestDrawContract:
 
     def _query(self, rng):
         sp = pc.SpaceConfig(n=4, p=3.0, weights=rng.uniform(0.5, 2.0, 4))
-        xb = boundary_point(sp, pc.Ball(1.0), rng)
+        xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
         return pc.Ball(1.0), xb, random_dual(sp, rng), pc.duality_map(xb)
 
     def test_more_directions_extend_the_draws(self, rng):

@@ -30,6 +30,13 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             pc.Cylinder(-1.0, frozenset({0}))
 
+    @pytest.mark.parametrize("r", [np.inf, np.nan])
+    def test_radii_must_be_finite(self, r):
+        with pytest.raises(pc.InvalidSetError, match="finite"):
+            pc.Ball(r)
+        with pytest.raises(pc.InvalidSetError, match="finite"):
+            pc.Cylinder(r, frozenset({0}))
+
     def test_cylinder_mask_must_be_nonempty(self):
         with pytest.raises(ValueError):
             pc.Cylinder(1.0, frozenset())

@@ -6,7 +6,8 @@ import pytest
 
 import projcalc as pc
 
-from conftest import P_GRID, boundary_point, random_dual, random_primal
+from conftest import P_GRID, random_dual, random_primal
+from projcalc.instances import point_at_norm
 
 
 def _bits(certs):
@@ -34,13 +35,13 @@ class TestBallIsFullMaskCylinder:
     def test_fibers_agree_bit_for_bit(self, rng):
         for sp in _spaces(rng):
             mask = frozenset(range(sp.n))
-            outside = 3.0 * boundary_point(sp, pc.Ball(1.0), rng)
+            outside = 3.0 * point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             ys = random_dual(sp, rng)
             a = pc.coderiv_ball(1.0, outside, ys)
             b = pc.coderiv_cylinder(1.0, mask, outside, ys)
             assert np.array_equal(a.value.coords, b.value.coords)
 
-            xb = boundary_point(sp, pc.Ball(1.0), rng)
+            xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             jx = pc.duality_map(xb)
             for query in (-0.7 * jx, ys, pc.o_star(pc.Anchor.at(xb), ys)):
                 ball = pc.sphere_theta_member(1.0, xb, query)
@@ -75,7 +76,7 @@ def test_witness_quotient_reproduces_bit_for_bit(rng, set_):
     # kernel, so the recorded witness quotient comes back exactly.
     sp = pc.SpaceConfig(n=6, p=3.0, weights=rng.uniform(0.5, 2.0, 6))
     if isinstance(set_, (pc.Ball, pc.Cylinder)):
-        xb = boundary_point(sp, set_, rng)
+        xb = point_at_norm(sp, set_, rng, set_.r)
     else:
         xb = random_primal(sp, rng)
     xs = random_dual(sp, rng)
