@@ -160,8 +160,9 @@ def _env(spec: SuiteSpec, suite: Suite) -> Env:
     anchor = dec.Anchor.at(point_at_norm(sp, pj.Ball(1.0), rng, 1.0)) if suite.anchored else None
     cfg = oc.OracleConfig(seed=spec.seed, directions_per_radius=min(128, max(32, spec.samples)))
     return Env(
-        spec, sp, mask, pj.Ball(spec.r), pj.Cylinder(spec.r, mask), pj.PositiveCone(),
-        pj.CoordSubspace(mask), suite.samples(spec.samples), rng, anchor, cfg,
+        spec=spec, sp=sp, mask=mask, ball=pj.Ball(spec.r), cyl=pj.Cylinder(spec.r, mask),
+        cone=pj.PositiveCone(), sub=pj.CoordSubspace(mask), ns=suite.samples(spec.samples),
+        rng=rng, anchor=anchor, cfg=cfg,
     )
 
 
