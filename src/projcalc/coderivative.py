@@ -31,7 +31,7 @@ import numpy as np
 from .decomposition import Anchor, o_star
 from .derivatives import DirectionKind, classify_direction
 from .errors import NotOnBoundaryError, PreconditionError
-from .projections import Ball, Cylinder, RegionKind, _radial, classify_region
+from .projections import DEFAULT_BAND_SCALE, Ball, Cylinder, RegionKind, _radial, classify_region
 from .space import (
     DualPoint,
     PrimalPoint,
@@ -94,13 +94,11 @@ class OrderInterval:
 CoderivResult = Singleton | EmptyFiber | ThetaMembership | OrderInterval
 
 
-def _fiber(
-    set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint, band, theta_member
-) -> CoderivResult:
-    """Fiber dispatch shared by the ball and the cylinder; ``theta_member``
+def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
+    """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
     decides the remaining boundary queries."""
     sp = xbar.space
-    tag = classify_region(set_, xbar, band)
+    tag = classify_region(set_, xbar)
     if tag.kind is RegionKind.INTERIOR:
         return Singleton(value=ystar)
     if tag.kind is RegionKind.EXTERIOR:
@@ -117,26 +115,19 @@ def _fiber(
     jx = duality_map(xbar)
     if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
         return EmptyFiber()
-    return theta_member()
+    return _theta_member(set_, xbar, ystar)
 
 
-def coderiv_ball(r: float, xbar: PrimalPoint, ystar: DualPoint, band: float | None = None) -> CoderivResult:
+def coderiv_ball(r: float, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
     """Coderivative fiber of the ball projection at xbar for the query y*."""
-    return _fiber(Ball(r), xbar, ystar, band, lambda: sphere_theta_member(r, xbar, ystar, band))
+    return _fiber(Ball(r), xbar, ystar)
 
 
 def coderiv_cylinder(
-    r: float,
-    mask: frozenset[int],
-    xbar: PrimalPoint,
-    ystar: DualPoint,
-    band: float | None = None,
+    r: float, mask: frozenset[int], xbar: PrimalPoint, ystar: DualPoint
 ) -> CoderivResult:
     """Coderivative fiber of the cylinder projection at xbar for the query y*."""
-    cyl = Cylinder(r=r, mask=frozenset(mask))
-    return _fiber(
-        cyl, xbar, ystar, band, lambda: cylinder_theta_member(r, cyl.mask, xbar, ystar, band)
-    )
+    return _fiber(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
 
 
 # Certificate names (tail, equality, direction, alignment); the ball
@@ -155,26 +146,25 @@ _CYLINDER_LABELS = (
 )
 
 
-def _theta_member(set_: Ball | Cylinder, xbar, ystar, band, labels, extra=None) -> ThetaMembership:
+def _theta_member(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
     """Theta*-membership at a boundary point of a ball or cylinder.
 
     Membership holds exactly when the unmasked part of y* vanishes, the
     masked reflected candidate -(J*(y*))_M points out of the set, and
-    <y*_M, xbar_M> = -r ||y*_M||_q. ``extra(pairing, ||y*||)`` returns further
-    certificates, listed after the direction test.
+    <y*_M, xbar_M> = -r ||y*_M||_q. A ball also reports the uniformly
+    convex evidence, listed after the direction test.
     """
     sp = xbar.space
     r, sel = _radial(set_, sp.n)
-    if band is None:
-        band = 1e-9 * r
     xm = np.where(sel, xbar.coords, 0.0)
     nxm = _norm(xm, sp.weights, sp.p)
-    if abs(nxm - r) > band:
+    if abs(nxm - r) > DEFAULT_BAND_SCALE * r:
         raise NotOnBoundaryError("theta*-membership needs a boundary point")
     ny = norm_dual(ystar)
     if ny <= sp.theta_tol:
         raise PreconditionError("the zero query is handled by the fiber dispatch")
-    tail_label, eq_label, dir_label, align_label = labels
+    is_ball = isinstance(set_, Ball)
+    tail_label, eq_label, dir_label, align_label = _BALL_LABELS if is_ball else _CYLINDER_LABELS
 
     certs: list[ConditionReport] = []
     ym = np.where(sel, ystar.coords, 0.0)
@@ -189,11 +179,11 @@ def _theta_member(set_: Ball | Cylinder, xbar, ystar, band, labels, extra=None) 
     eq_holds = nym > sp.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
     certs.append(ConditionReport(name=eq_label, holds=eq_holds, slack=eq_slack))
 
-    cls = classify_direction(set_, xbar, -duality_map_inv(ystar), band)
+    cls = classify_direction(set_, xbar, -duality_map_inv(ystar))
     dir_up = cls.kind is DirectionKind.UP
     certs.append(ConditionReport(name=dir_label, holds=dir_up, slack=cls.slope))
-    if extra is not None:
-        certs += extra(pairing, ny)
+    if is_ball:
+        certs += _uniformly_convex(set_, xbar, ystar, pairing, ny)
 
     if eq_holds and tail_zero:
         c = nym / r
@@ -212,9 +202,57 @@ def _theta_member(set_: Ball | Cylinder, xbar, ystar, band, labels, extra=None) 
     return ThetaMembership(verdict=verdict, certificates=tuple(certs))
 
 
-def sphere_theta_member(
-    r: float, xbar: PrimalPoint, ystar: DualPoint, band: float | None = None
-) -> ThetaMembership:
+def _uniformly_convex(
+    ball: Ball, xbar: PrimalPoint, ystar: DualPoint, pairing: float, ny: float
+) -> list[ConditionReport]:
+    """Necessary conditions for theta*-membership at a sphere point that hold
+    in any uniformly convex and uniformly smooth norm, plus the p = 2
+    parallel test; reported as evidence, not used for the verdict."""
+    r = ball.r
+    certs = [
+        ConditionReport(
+            name="pairing with base point is nonpositive",
+            holds=pairing <= ALIGNMENT_TOL * r * ny,
+            slack=pairing,
+        )
+    ]
+    anchor = Anchor.at(xbar)
+    osy = o_star(anchor, ystar)
+    josy = duality_map_inv(osy)
+    njosy = norm_primal(josy)
+    if njosy <= xbar.space.theta_tol:
+        stays, slope, balance = True, 0.0, 0.0
+    else:
+        tcls = classify_direction(ball, xbar, -josy)
+        stays, slope = tcls.kind is DirectionKind.DOWN, tcls.slope
+        balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
+    certs.append(
+        ConditionReport(
+            name="reflected tangential component -J*(o*(y*)) stays in the ball",
+            holds=stays,
+            slack=slope,
+        )
+    )
+    certs.append(
+        ConditionReport(
+            name="tangential balance term is nonpositive",
+            holds=balance <= ALIGNMENT_TOL * max(1.0, ny**2),
+            slack=balance,
+        )
+    )
+    if xbar.space.p == 2.0:
+        par_slack = norm_dual(osy)
+        certs.append(
+            ConditionReport(
+                name="hilbert test: y* parallel to base point with negative pairing",
+                holds=par_slack <= 1e-8 * ny and pairing < 0.0,
+                slack=par_slack,
+            )
+        )
+    return certs
+
+
+def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
     """Decide whether theta* belongs to the sphere-point fiber of y*.
 
     Membership holds exactly when the reflected candidate -J*(y*) points out
@@ -224,60 +262,11 @@ def sphere_theta_member(
     any uniformly convex and uniformly smooth norm and the p = 2 parallel
     test.
     """
-
-    def uniformly_convex(pairing: float, ny: float) -> list[ConditionReport]:
-        # Necessary conditions valid beyond p-norm spaces, reported as evidence.
-        certs = [
-            ConditionReport(
-                name="pairing with base point is nonpositive",
-                holds=pairing <= ALIGNMENT_TOL * r * ny,
-                slack=pairing,
-            )
-        ]
-        anchor = Anchor.at(xbar)
-        osy = o_star(anchor, ystar)
-        josy = duality_map_inv(osy)
-        njosy = norm_primal(josy)
-        if njosy <= xbar.space.theta_tol:
-            stays, slope, balance = True, 0.0, 0.0
-        else:
-            tcls = classify_direction(Ball(r), xbar, -josy, band)
-            stays, slope = tcls.kind is DirectionKind.DOWN, tcls.slope
-            balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
-        certs.append(
-            ConditionReport(
-                name="reflected tangential component -J*(o*(y*)) stays in the ball",
-                holds=stays,
-                slack=slope,
-            )
-        )
-        certs.append(
-            ConditionReport(
-                name="tangential balance term is nonpositive",
-                holds=balance <= ALIGNMENT_TOL * max(1.0, ny**2),
-                slack=balance,
-            )
-        )
-        if xbar.space.p == 2.0:
-            par_slack = norm_dual(osy)
-            certs.append(
-                ConditionReport(
-                    name="hilbert test: y* parallel to base point with negative pairing",
-                    holds=par_slack <= 1e-8 * ny and pairing < 0.0,
-                    slack=par_slack,
-                )
-            )
-        return certs
-
-    return _theta_member(Ball(r), xbar, ystar, band, _BALL_LABELS, uniformly_convex)
+    return _theta_member(Ball(r), xbar, ystar)
 
 
 def cylinder_theta_member(
-    r: float,
-    mask: frozenset[int],
-    xbar: PrimalPoint,
-    ystar: DualPoint,
-    band: float | None = None,
+    r: float, mask: frozenset[int], xbar: PrimalPoint, ystar: DualPoint
 ) -> ThetaMembership:
     """Decide whether theta* belongs to the cylinder boundary fiber of y*.
 
@@ -285,7 +274,7 @@ def cylinder_theta_member(
     part of y* vanishes, the masked reflected candidate points out of the
     masked ball, and <y*_M, xbar_M> = -r ||y*_M||_q.
     """
-    return _theta_member(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar, band, _CYLINDER_LABELS)
+    return _theta_member(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
 
 
 def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
@@ -349,8 +338,8 @@ def cone_interval_at_origin(psi: DualPoint) -> OrderInterval:
     return OrderInterval(lo=psi.space.zero_dual(), hi=psi)
 
 
-def interval_contains(interval: OrderInterval, phi: DualPoint, tol: float = COORD_ZERO_TOL) -> bool:
-    """Componentwise lo <= phi <= hi, with a zero-threshold band."""
-    lo = interval.lo.coords
-    hi = interval.hi.coords
-    return bool(np.all(phi.coords >= lo - tol) and np.all(phi.coords <= hi + tol))
+def interval_contains(interval: OrderInterval, phi: DualPoint) -> bool:
+    """Componentwise lo <= phi <= hi, up to ``COORD_ZERO_TOL``."""
+    lo = interval.lo.coords - COORD_ZERO_TOL
+    hi = interval.hi.coords + COORD_ZERO_TOL
+    return bool(np.all(phi.coords >= lo) and np.all(phi.coords <= hi))

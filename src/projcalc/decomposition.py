@@ -65,10 +65,10 @@ def o_star(anchor: Anchor, xs: DualPoint) -> DualPoint:
     return xs - a_star(anchor, xs) * anchor.xbar_star
 
 
-def in_O(anchor: Anchor, y: PrimalPoint, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+def in_O(anchor: Anchor, y: PrimalPoint) -> bool:
     """Whether y lies in the hyperplane annihilated by J(xbar)."""
     scale = max(1.0, anchor.norm * norm_primal(y))
-    return abs(pair(anchor.xbar_star, y)) <= tol * scale
+    return abs(pair(anchor.xbar_star, y)) <= DEFAULT_MEMBERSHIP_TOL * scale
 
 
 __all__ = ["Anchor", "a_coef", "o_part", "a_star", "o_star", "in_O"]

@@ -100,12 +100,10 @@ class Witness:
     defect: float
 
 
-def classify_direction(
-    set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint, band: float | None = None
-) -> DirectionClass:
+def classify_direction(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> DirectionClass:
     """Up/down classification of a nonzero direction at a boundary point,
     by the slope psi(xbar_M, v_M) of the masked norm."""
-    tag = classify_region(set_, xbar, band)
+    tag = classify_region(set_, xbar)
     if tag.kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
     if is_theta(v):
@@ -188,20 +186,16 @@ def _witness_probes(set_: ConvexSet, xbar: PrimalPoint) -> np.ndarray:
     return np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
 
 
-def nonsmoothness_witness(
-    set_: ConvexSet,
-    xbar: PrimalPoint,
-    sched: FDSchedule = DEFAULT_SCHEDULE,
-) -> Witness | None:
+def nonsmoothness_witness(set_: ConvexSet, xbar: PrimalPoint) -> Witness | None:
     """Search a fixed probe list for a direction certifying that no linear
     derivative exists at xbar.
 
     The defect of a probe v is ||P'(xbar; v) + P'(xbar; -v)|| estimated by
-    one-sided differences; a linear derivative would make it vanish. Every
-    probe, forward and backward, is one (2, probes, steps, n) block of
-    difference quotients. Returns the first probe in list order with defect
-    >= 0.1 ||v||, or None if no probe qualifies (which indicates the point
-    is not genuinely nonsmooth).
+    one-sided differences along ``DEFAULT_SCHEDULE``; a linear derivative
+    would make it vanish. Every probe, forward and backward, is one
+    (2, probes, steps, n) block of difference quotients. Returns the first
+    probe in list order with defect >= 0.1 ||v||, or None if no probe
+    qualifies (which indicates the point is not genuinely nonsmooth).
     """
     if isinstance(set_, (Ball, Cylinder)):
         tag = classify_region(set_, xbar)
@@ -215,7 +209,8 @@ def nonsmoothness_witness(
         raise UnsupportedSetError("the subspace projection is linear, hence smooth")
     sp = xbar.space
     probes = _witness_probes(set_, xbar)
-    limits = _difference_quotients(set_, xbar, np.stack([probes, -probes]), sched)[:, :, -1]
+    both = np.stack([probes, -probes])
+    limits = _difference_quotients(set_, xbar, both, DEFAULT_SCHEDULE)[:, :, -1]
     defects = _norm(limits[0] + limits[1], sp.weights, sp.p)
     hits = np.flatnonzero(defects >= 0.1 * _norm(probes, sp.weights, sp.p))
     if hits.size == 0:

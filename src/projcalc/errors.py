@@ -25,7 +25,7 @@ class NoDerivativeError(ProjcalcError):
     """No Frechet derivative exists at the queried point."""
 
 
-class PreconditionError(ProjcalcError):
+class PreconditionError(ProjcalcError, ValueError):
     """A documented operation precondition was violated."""
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Anchor, o_star
-from .errors import DegenerateInputError, DimensionMismatchError
+from .errors import DegenerateInputError, DimensionMismatchError, PreconditionError
 from .projections import (
     ConvexSet,
     Cylinder,
@@ -192,9 +192,15 @@ def structured_probes(
     rays += list(np.eye(sp.n))
     rays = np.array(rays)
     raw = np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
+    return [PrimalPoint(c, sp) for c in _unit_rows(sp, raw)]
+
+
+def _unit_rows(sp, raw: np.ndarray) -> np.ndarray:
+    """The rows of a (k, n) block scaled to unit norm in one row-norm pass;
+    rows of norm <= theta_tol are dropped."""
     nrm = _norm(raw, sp.weights, sp.p)
     keep = nrm > sp.theta_tol
-    return [PrimalPoint(c, sp) for c in raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]]
+    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]
 
 
 def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
@@ -205,10 +211,7 @@ def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
     are dropped.
     """
     bg = np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, radius_idx, 0])
-    raw = np.random.Generator(bg).standard_normal((m, sp.n))
-    nrm = _norm(raw, sp.weights, sp.p)
-    keep = nrm > sp.theta_tol
-    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]
+    return _unit_rows(sp, np.random.Generator(bg).standard_normal((m, sp.n)))
 
 
 def test_membership(
@@ -223,7 +226,7 @@ def test_membership(
         structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes else []
     )
     if not probes and cfg.directions_per_radius == 0:
-        raise ValueError("no probe directions: enable structured probes or random draws")
+        raise PreconditionError("no probe directions: enable structured probes or random draws")
     _check_spaces(xbar, xstar, ystar)
     sp = xbar.space
     px = _project_coords(set_, sp, xbar.coords)

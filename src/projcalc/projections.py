@@ -89,7 +89,6 @@ class RegionKind(Enum):
 @dataclass(frozen=True)
 class RegionTag:
     kind: RegionKind
-    band: float
 
 
 # -- masks -------------------------------------------------------------------
@@ -172,15 +171,15 @@ def _contains_coords(set_: ConvexSet, space, coords: np.ndarray, tol: float = SE
     raise UnsupportedSetError(f"unknown set variant {set_!r}")
 
 
-def classify_region(set_: ConvexSet, x: PrimalPoint, band: float | None = None) -> RegionTag:
-    """Interior/Boundary/Exterior of a ball or cylinder, with a tolerance band.
+def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
+    """Interior/Boundary/Exterior of a ball or cylinder, with a tolerance band
+    of ``DEFAULT_BAND_SCALE * r``.
 
     The positive cone and coordinate subspaces are rejected: their geometry is
     handled by dedicated logic rather than a radius comparison.
     """
     r, sel = _radial(set_, x.space.n)
-    if band is None:
-        band = DEFAULT_BAND_SCALE * r
+    band = DEFAULT_BAND_SCALE * r
     nrm = _masked_norm(x.space, sel, x.coords)
     if abs(nrm - r) <= band:
         kind = RegionKind.BOUNDARY
@@ -188,7 +187,7 @@ def classify_region(set_: ConvexSet, x: PrimalPoint, band: float | None = None) 
         kind = RegionKind.INTERIOR
     else:
         kind = RegionKind.EXTERIOR
-    return RegionTag(kind=kind, band=band)
+    return RegionTag(kind=kind)
 
 
 # -- projections ---------------------------------------------------------------

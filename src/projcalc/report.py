@@ -34,10 +34,6 @@ class Report:
     cases: list[CaseResult]
     summary: dict
 
-    @property
-    def failed(self) -> int:
-        return self.summary.get("failed", 0)
-
 
 def build_summary(cases: list[CaseResult], ops_used: set[str], all_ops: set[str]) -> dict:
     passed = sum(1 for c in cases if c.status == "pass")

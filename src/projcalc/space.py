@@ -37,33 +37,26 @@ P_MAX = 10.0
 # A point whose norm is <= THETA_TOL_SCALE * n is treated as the origin.
 THETA_TOL_SCALE = 1e-12
 
-CONJUGATE_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class SpaceConfig:
     """A weighted p-norm space of dimension n (and its q-norm dual).
 
-    ``weights`` defaults to all ones. ``q`` is derived from ``p`` unless
-    given explicitly, in which case 1/p + 1/q = 1 is checked.
+    ``weights`` defaults to all ones. ``q`` is the conjugate exponent
+    p/(p-1), derived from ``p``.
     """
 
     n: int
     p: float
     weights: np.ndarray | None = None
-    q: float = field(default=0.0)
+    q: float = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be positive, got {self.n}")
         if not (P_MIN <= self.p <= P_MAX):
             raise ValueError(f"exponent p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
-        q = self.p / (self.p - 1.0)
-        if self.q:
-            if abs(1.0 / self.p + 1.0 / self.q - 1.0) > CONJUGATE_TOL:
-                raise ValueError(f"q={self.q} is not conjugate to p={self.p}")
-        else:
-            object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", self.p / (self.p - 1.0))
         if self.weights is None:
             w = np.ones(self.n)
         else:

@@ -95,6 +95,8 @@ class SuiteSpec:
             raise ValueError("mask density must lie in (0, 1]")
         if not (0.0 < self.r < np.inf):
             raise ValueError(f"radius must be positive and finite, got {self.r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 10:
             raise ValueError("sample count must be at least 10")
         if not (0.0 < self.tol_scale < np.inf):

@@ -9,11 +9,12 @@ each verdict is decidable at the configured radii.
 import numpy as np
 
 import projcalc as pc
-from projcalc.instances import gen_instance, sample_in_set
+from conftest import P_GRID, random_dual, random_primal
+from projcalc.instances import _rescale_masked, gen_instance, sample_in_set
+from projcalc.projections import _radial
 from projcalc.report import render_json
 from projcalc.suites import SuiteSpec, run_suite
 
-P_GRID = [1.5, 2.0, 3.0, 4.0]
 ORACLE = pc.OracleConfig(seed=2024, directions_per_radius=256)
 ORACLE_BULK = pc.OracleConfig(seed=2024, directions_per_radius=128)
 
@@ -23,25 +24,13 @@ def _report(num, ok, detail=""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _rand(sp, rng, scale=1.0):
-    return sp.primal(scale * rng.standard_normal(sp.n))
-
-
-def _rand_dual(sp, rng, scale=1.0):
-    return sp.dual(scale * rng.standard_normal(sp.n))
-
-
 def _away_from_zero(rng, n, floor=0.15):
     v = rng.standard_normal(n)
     return np.sign(v) * (np.abs(v) + floor)
 
 
 def _scaled(sp, set_, coords, target):
-    x = sp.primal(coords)
-    if isinstance(set_, pc.Ball):
-        return (target / pc.norm_primal(x)) * x
-    xm = pc.mask_restrict(x, set_.mask)
-    return (target / pc.norm_primal(xm)) * xm + (x - xm)
+    return _rescale_masked(sp, _radial(set_, sp.n)[1], coords, target)
 
 
 def test_criterion_01_duality_identities():
@@ -51,7 +40,7 @@ def test_criterion_01_duality_identities():
         for n in [2, 8, 32]:
             sp = pc.SpaceConfig(n=n, p=p)
             for _ in range(1000):
-                x = _rand(sp, rng)
+                x = random_primal(sp, rng)
                 jx = pc.duality_map(x)
                 nrm = pc.norm_primal(x)
                 worst = max(worst, abs(pc.pair(jx, x) - nrm**2) / max(1.0, nrm**2) / 1e-9)
@@ -59,7 +48,7 @@ def test_criterion_01_duality_identities():
                 back = pc.duality_map_inv(jx)
                 worst = max(worst, pc.norm_primal(back - x) / max(1.0, nrm) / 1e-8)
             for _ in range(1000):
-                x, y = _rand(sp, rng), _rand(sp, rng)
+                x, y = random_primal(sp, rng), random_primal(sp, rng)
                 gap = pc.norm_primal(x) ** 2 - pc.norm_primal(y) ** 2
                 lo = 2.0 * pc.pair(pc.duality_map(y), x - y)
                 hi = 2.0 * pc.pair(pc.duality_map(x), x - y)
@@ -88,7 +77,7 @@ def test_criterion_02_projection_optimality():
                     c[rng.integers(0, 8)] = -abs(c[0]) - 0.2
                     x = sp.primal(c)
                 else:
-                    x = _rand(sp, rng)
+                    x = random_primal(sp, rng)
                 u = pc.project(set_, x)
                 zs = sample_in_set(set_, sp, rng, 200)
                 du = pc.norm_primal(x - u)
@@ -117,7 +106,7 @@ def test_criterion_03_frechet_agreement():
                 rng = np.random.default_rng(303)
                 for x in _derivative_points(sp, set_, regime, 100, seed=33):
                     for _ in range(10):
-                        v = _rand(sp, rng)
+                        v = random_primal(sp, rng)
                         closed = pc.frechet_apply(set_, x, v)
                         fd = pc.gateaux_fd(set_, x, v)
                         gap = pc.norm_primal(closed - fd.value)
@@ -154,7 +143,7 @@ def test_criterion_04_adjoint_identity():
                     jac = _fd_jacobian(set_, x)
                     w = sp.weights
                     for _ in range(10):
-                        ys, v = _rand_dual(sp, rng), _rand(sp, rng)
+                        ys, v = random_dual(sp, rng), random_primal(sp, rng)
                         value = fiber(ys).value
                         lhs = pc.pair(value, v)
                         rhs = pc.pair(ys, pc.frechet_apply(set_, x, v))
@@ -176,15 +165,15 @@ def _sphere_cases(sp, xb, rng):
     for c in (0.3, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0):
         cases.append((-c) * jx)
     for _ in range(4):
-        o = pc.o_star(anchor, _rand_dual(sp, rng))
+        o = pc.o_star(anchor, random_dual(sp, rng))
         cases.append((1.0 / pc.norm_dual(o)) * o)
     for mix in (0.7, 1.0, 1.4, 2.0):
-        o = pc.o_star(anchor, _rand_dual(sp, rng))
+        o = pc.o_star(anchor, random_dual(sp, rng))
         cases.append(-1.0 * jx + (mix / pc.norm_dual(o)) * o)
     for c in (0.5, 1.0, 2.0):
         cases.append(c * jx)
     for _ in range(2):
-        ys = _rand_dual(sp, rng)
+        ys = random_dual(sp, rng)
         cases.append((1.0 / pc.norm_dual(ys)) * ys)
     return cases
 
@@ -240,7 +229,7 @@ def test_criterion_06_empty_fiber():
             ray = pc.mask_restrict(xb, set_.mask)
         jx = pc.duality_map(xb)
         for _ in range(10):
-            xs = _rand_dual(sp, rng)
+            xs = random_dual(sp, rng)
             verdict = pc.test_membership(set_, xb, xs, jx, ORACLE)
             if not isinstance(verdict, pc.RejectedWithWitness):
                 bad.append((kind, "not rejected"))
@@ -281,7 +270,7 @@ def test_criterion_07_cylinder_iff():
             0.8 * jxm,
         ]
         for _ in range(2):
-            z = pc.mask_restrict(_rand_dual(sp, rng), mask)
+            z = pc.mask_restrict(random_dual(sp, rng), mask)
             a = pc.pair(z, pc.mask_restrict(xb, mask))
             ortho = z - a * jxm  # masked, pairs to zero against xb_M
             cases.append((1.0 / pc.norm_dual(ortho)) * ortho)
@@ -319,12 +308,12 @@ def test_criterion_08_cone_conditions():
 
     # (a) the zero-query fiber is the zero singleton
     for i in range(20):
-        f = _rand(sp, rng)
+        f = random_primal(sp, rng)
         ok = isinstance(
             pc.test_membership(cone, f, sp.zero_dual(), sp.zero_dual(), ORACLE_BULK),
             pc.NotRejected,
         )
-        xs = _rand_dual(sp, rng)
+        xs = random_dual(sp, rng)
         xs = (1.0 / pc.norm_dual(xs)) * xs
         ok = ok and isinstance(
             pc.test_membership(cone, f, xs, sp.zero_dual(), ORACLE_BULK),
@@ -431,22 +420,22 @@ def test_criterion_10_decomposition():
     for p in P_GRID:
         sp = pc.SpaceConfig(n=8, p=p)
         for _ in range(5):
-            a = _rand(sp, rng)
+            a = random_primal(sp, rng)
             anchor = pc.Anchor.at((rng.uniform(1.0, 1.5) / pc.norm_primal(a)) * a)
             for _ in range(40):
-                x = _rand(sp, rng)
+                x = random_primal(sp, rng)
                 back = pc.a_coef(anchor, x) * anchor.xbar + pc.o_part(anchor, x)
                 worst_recomp = max(
                     worst_recomp,
                     pc.norm_primal(x - back) / max(1.0, pc.norm_primal(x)),
                 )
-                xs = _rand_dual(sp, rng)
+                xs = random_dual(sp, rng)
                 dback = pc.a_star(anchor, xs) * anchor.xbar_star + pc.o_star(anchor, xs)
                 worst_recomp = max(
                     worst_recomp,
                     pc.norm_dual(xs - dback) / max(1.0, pc.norm_dual(xs)),
                 )
-            v = pc.o_part(anchor, _rand(sp, rng))
+            v = pc.o_part(anchor, random_primal(sp, rng))
             v = (1e-6 / pc.norm_primal(v)) * v
             ratio = (pc.norm_primal(anchor.xbar + v) - anchor.norm) / 1e-6
             worst_ratio = max(worst_ratio, ratio)

@@ -234,6 +234,25 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith("invalid ") and "finite" in exc.value.code
 
+    def test_oracle_without_directions_prints_one_error_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
+                  "--ystar", "[0,1]", "--directions", "0", "--no-structured-probes"])
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:") and "no probe directions" in exc.value.code
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_negative_seed_prints_one_error_line(self, monkeypatch, source):
+        argv = ["run", "--suite", "space-identities"]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("PROJCALC_SEED", "-3")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("invalid suite parameters:") and "seed" in exc.value.code
+
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os
         import subprocess

@@ -33,9 +33,10 @@ class TestValidation:
             pc.SpaceConfig(n=2, p=2.0, weights=[1.0, -1.0])
 
     def test_rejects_inconsistent_conjugate(self):
-        with pytest.raises(ValueError):
+        # q is derived from p and cannot be passed, so no pair can disagree.
+        with pytest.raises(TypeError):
             pc.SpaceConfig(n=2, p=3.0, q=2.0)
-        sp = pc.SpaceConfig(n=2, p=3.0, q=1.5)
+        sp = pc.SpaceConfig(n=2, p=3.0)
         assert abs(1.0 / sp.p + 1.0 / sp.q - 1.0) <= 1e-12
 
     def test_rejects_wrong_length_or_nonfinite_coords(self):
