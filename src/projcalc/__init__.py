@@ -24,7 +24,6 @@ from .derivatives import (
     DirectionClass,
     DirectionKind,
     FDEstimate,
-    FDSchedule,
     Witness,
     classify_direction,
     frechet_apply,

@@ -77,9 +77,7 @@ def _make_set(args, space: SpaceConfig):
         return Ball(args.r)
     if args.set == "cylinder":
         return Cylinder(args.r, _parse_mask(args.mask, space.n))
-    if args.set == "cone":
-        return PositiveCone()
-    raise SystemExit(f"unknown set {args.set!r}")
+    return PositiveCone()
 
 
 def _add_common_point_args(sub):
@@ -240,11 +238,9 @@ def main(argv=None) -> int:
                 return _cmd_run(args)
             if args.command == "oracle":
                 return _cmd_oracle(args)
-            if args.command == "witness":
-                return _cmd_witness(args)
+            return _cmd_witness(args)
     except ProjcalcError as exc:
         raise SystemExit(f"error: {exc}")
-    raise SystemExit(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

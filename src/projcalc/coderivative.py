@@ -29,9 +29,9 @@ from enum import Enum
 import numpy as np
 
 from .decomposition import Anchor, o_star
-from .derivatives import DirectionKind, classify_direction
+from .derivatives import DirectionKind, _direction
 from .errors import NotOnBoundaryError, PreconditionError
-from .projections import DEFAULT_BAND_SCALE, Ball, Cylinder, RegionKind, _radial, classify_region
+from .projections import Ball, Cylinder, RegionKind, _region
 from .space import (
     DualPoint,
     PrimalPoint,
@@ -41,7 +41,6 @@ from .space import (
     duality_map,
     duality_map_inv,
     norm_dual,
-    norm_primal,
     pair,
 )
 
@@ -98,24 +97,21 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
     """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
     decides the remaining boundary queries."""
     sp = xbar.space
-    tag = classify_region(set_, xbar)
-    if tag.kind is RegionKind.INTERIOR:
+    region = _region(set_, xbar)
+    r, sel, xm, nrm, kind = region
+    if kind is RegionKind.INTERIOR:
         return Singleton(value=ystar)
-    if tag.kind is RegionKind.EXTERIOR:
-        r, sel = _radial(set_, sp.n)
-        xm = np.where(sel, xbar.coords, 0.0)
+    if kind is RegionKind.EXTERIOR:
         ym = np.where(sel, ystar.coords, 0.0)
-        nrm = _norm(xm, sp.weights, sp.p)
         a = _pair(sp.weights, ym, xm) / nrm**2
         jm = _duality(xm, sp.p, nrm, sp.theta_tol)
         return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (ystar.coords - ym)))
-    ny = norm_dual(ystar)
-    if ny <= sp.theta_tol:
+    if norm_dual(ystar) <= sp.theta_tol:
         return Singleton(value=sp.zero_dual())
     jx = duality_map(xbar)
     if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
         return EmptyFiber()
-    return _theta_member(set_, xbar, ystar)
+    return _theta_member(set_, xbar, ystar, region)
 
 
 def coderiv_ball(r: float, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
@@ -146,8 +142,11 @@ _CYLINDER_LABELS = (
 )
 
 
-def _theta_member(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
-    """Theta*-membership at a boundary point of a ball or cylinder.
+def _theta_member(
+    set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint, region
+) -> ThetaMembership:
+    """Theta*-membership at a boundary point of a ball or cylinder, given
+    the point's ``projections._region``.
 
     Membership holds exactly when the unmasked part of y* vanishes, the
     masked reflected candidate -(J*(y*))_M points out of the set, and
@@ -155,10 +154,8 @@ def _theta_member(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) ->
     convex evidence, listed after the direction test.
     """
     sp = xbar.space
-    r, sel = _radial(set_, sp.n)
-    xm = np.where(sel, xbar.coords, 0.0)
-    nxm = _norm(xm, sp.weights, sp.p)
-    if abs(nxm - r) > DEFAULT_BAND_SCALE * r:
+    r, sel, xm, nxm, kind = region
+    if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("theta*-membership needs a boundary point")
     ny = norm_dual(ystar)
     if ny <= sp.theta_tol:
@@ -179,11 +176,13 @@ def _theta_member(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) ->
     eq_holds = nym > sp.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
     certs.append(ConditionReport(name=eq_label, holds=eq_holds, slack=eq_slack))
 
-    cls = classify_direction(set_, xbar, -duality_map_inv(ystar))
+    # The reflected candidate -J*(y*), taken in the space of y* as ``duality_map_inv`` does.
+    jy = _duality(ystar.coords, ystar.space.q, ny, ystar.space.theta_tol)
+    cls = _direction(sp, sel, xm, nxm, -jy)
     dir_up = cls.kind is DirectionKind.UP
     certs.append(ConditionReport(name=dir_label, holds=dir_up, slack=cls.slope))
     if is_ball:
-        certs += _uniformly_convex(set_, xbar, ystar, pairing, ny)
+        certs += _uniformly_convex(region, xbar, ystar, pairing, ny)
 
     if eq_holds and tail_zero:
         c = nym / r
@@ -203,12 +202,14 @@ def _theta_member(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) ->
 
 
 def _uniformly_convex(
-    ball: Ball, xbar: PrimalPoint, ystar: DualPoint, pairing: float, ny: float
+    region, xbar: PrimalPoint, ystar: DualPoint, pairing: float, ny: float
 ) -> list[ConditionReport]:
-    """Necessary conditions for theta*-membership at a sphere point that hold
-    in any uniformly convex and uniformly smooth norm, plus the p = 2
-    parallel test; reported as evidence, not used for the verdict."""
-    r = ball.r
+    """Necessary conditions for theta*-membership at a sphere point, given
+    its ``projections._region``, that hold in any uniformly convex and
+    uniformly smooth norm, plus the p = 2 parallel test; reported as
+    evidence, not used for the verdict."""
+    sp = xbar.space
+    r, sel, xm, nxm, _ = region
     certs = [
         ConditionReport(
             name="pairing with base point is nonpositive",
@@ -219,11 +220,11 @@ def _uniformly_convex(
     anchor = Anchor.at(xbar)
     osy = o_star(anchor, ystar)
     josy = duality_map_inv(osy)
-    njosy = norm_primal(josy)
-    if njosy <= xbar.space.theta_tol:
+    njosy = _norm(josy.coords, sp.weights, sp.p)
+    if njosy <= sp.theta_tol:
         stays, slope, balance = True, 0.0, 0.0
     else:
-        tcls = classify_direction(ball, xbar, -josy)
+        tcls = _direction(sp, sel, xm, nxm, -josy.coords)
         stays, slope = tcls.kind is DirectionKind.DOWN, tcls.slope
         balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
     certs.append(
@@ -240,7 +241,7 @@ def _uniformly_convex(
             slack=balance,
         )
     )
-    if xbar.space.p == 2.0:
+    if sp.p == 2.0:
         par_slack = norm_dual(osy)
         certs.append(
             ConditionReport(
@@ -262,7 +263,8 @@ def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaM
     any uniformly convex and uniformly smooth norm and the p = 2 parallel
     test.
     """
-    return _theta_member(Ball(r), xbar, ystar)
+    ball = Ball(r)
+    return _theta_member(ball, xbar, ystar, _region(ball, xbar))
 
 
 def cylinder_theta_member(
@@ -274,7 +276,8 @@ def cylinder_theta_member(
     part of y* vanishes, the masked reflected candidate points out of the
     masked ball, and <y*_M, xbar_M> = -r ||y*_M||_q.
     """
-    return _theta_member(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
+    cyl = Cylinder(r=r, mask=frozenset(mask))
+    return _theta_member(cyl, xbar, ystar, _region(cyl, xbar))
 
 
 def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:

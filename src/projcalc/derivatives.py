@@ -44,10 +44,9 @@ from .projections import (
     PositiveCone,
     RegionKind,
     _project_coords,
-    _radial,
-    classify_region,
+    _region,
 )
-from .space import PrimalPoint, _duality, _finite, _norm, _pair, is_theta, smoothness
+from .space import PrimalPoint, _duality, _finite, _norm, _pair, is_theta
 
 
 class DirectionKind(Enum):
@@ -67,14 +66,6 @@ class FDSchedule:
 
     steps: tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     tol: float = 1e-5
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("schedule needs at least one step")
-        if any(t <= 0.0 for t in self.steps):
-            raise ValueError("steps must be positive")
-        if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
-            raise ValueError("steps must be strictly decreasing")
 
 
 DEFAULT_SCHEDULE = FDSchedule()
@@ -103,18 +94,25 @@ class Witness:
 def classify_direction(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> DirectionClass:
     """Up/down classification of a nonzero direction at a boundary point,
     by the slope psi(xbar_M, v_M) of the masked norm."""
-    tag = classify_region(set_, xbar)
-    if tag.kind is not RegionKind.BOUNDARY:
+    _, sel, xm, nrm, kind = _region(set_, xbar)
+    if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
-    if is_theta(v):
+    return _direction(xbar.space, sel, xm, nrm, v.coords)
+
+
+def _direction(sp, sel: np.ndarray, xm: np.ndarray, nrm: float, v: np.ndarray) -> DirectionClass:
+    """``classify_direction`` of the direction coordinates v at a boundary
+    point whose masked part xm has norm nrm."""
+    if _norm(v, sp.weights, sp.p) <= sp.theta_tol:
         raise DegenerateInputError("directions must be nonzero")
-    sp = xbar.space
-    sel = _radial(set_, sp.n)[1]
-    vm = np.where(sel, v.coords, 0.0)
+    vm = np.where(sel, v, 0.0)
     if _norm(vm, sp.weights, sp.p) <= sp.theta_tol:
         # The masked norm stays exactly r, hence never exceeds it.
         return DirectionClass(kind=DirectionKind.DOWN, slope=0.0)
-    d = smoothness(sp.primal(np.where(sel, xbar.coords, 0.0)), sp.primal(vm))
+    if nrm <= sp.theta_tol:
+        raise DegenerateInputError("smoothness functional is undefined at the origin")
+    # psi(xm, vm) = <J(xm), vm>/||xm||, as ``space.smoothness`` evaluates it.
+    d = _pair(sp.weights, _duality(xm, sp.p, nrm, sp.theta_tol), vm) / nrm
     kind = DirectionKind.DOWN if d < 0.0 else DirectionKind.UP
     return DirectionClass(kind=kind, slope=d)
 
@@ -123,63 +121,49 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
     """Apply the closed-form derivative of the projection at an interior or
     exterior point to the direction v. Raises at boundary points, where the
     projection has no derivative."""
-    tag = classify_region(set_, xbar)
-    if tag.kind is RegionKind.BOUNDARY:
+    r, sel, xm, nrm, kind = _region(set_, xbar)
+    if kind is RegionKind.BOUNDARY:
         raise NoDerivativeError("the projection is not differentiable on the boundary")
-    if tag.kind is RegionKind.INTERIOR:
+    if kind is RegionKind.INTERIOR:
         return v
     sp = xbar.space
-    r, sel = _radial(set_, sp.n)
-    xm = np.where(sel, xbar.coords, 0.0)
     vm = np.where(sel, v.coords, 0.0)
-    nrm = _norm(xm, sp.weights, sp.p)
     a = _pair(sp.weights, _duality(xm, sp.p, nrm, sp.theta_tol), vm) / nrm**2
     return sp.primal(np.where(sel, (r / nrm) * (v.coords - a * xbar.coords), v.coords))
 
 
-def gateaux_fd(
-    set_: ConvexSet,
-    x: PrimalPoint,
-    v: PrimalPoint,
-    sched: FDSchedule = DEFAULT_SCHEDULE,
-) -> FDEstimate:
-    """One-sided difference quotients (P(x + t v) - P(x))/t along the schedule,
-    every step in one (steps, n) projection block."""
+def gateaux_fd(set_: ConvexSet, x: PrimalPoint, v: PrimalPoint) -> FDEstimate:
+    """One-sided difference quotients (P(x + t v) - P(x))/t along
+    ``DEFAULT_SCHEDULE``, every step in one (steps, n) projection block."""
     if is_theta(v):
         raise DegenerateInputError("finite differences need a nonzero direction")
     x._check(v)
-    quotients = _difference_quotients(set_, x, v.coords, sched)
+    quotients = _difference_quotients(set_, x, v.coords)
     gaps = tuple(_norm(quotients[1:] - quotients[:-1], x.space.weights, x.space.p).tolist())
-    converged = (not gaps) or gaps[-1] <= 10.0 * sched.tol
+    converged = gaps[-1] <= 10.0 * DEFAULT_SCHEDULE.tol
     return FDEstimate(value=PrimalPoint(quotients[-1], x.space), gaps=gaps, converged=converged)
 
 
-def _difference_quotients(
-    set_: ConvexSet, x: PrimalPoint, v: np.ndarray, sched: FDSchedule
-) -> np.ndarray:
-    """(P(x + t v) - P(x))/t for every step t and every row v of a (..., n)
-    block of directions, as a (..., steps, n) array. Each row is formed in
-    the operand order of the point arithmetic, so it equals the quotient of
-    a single direction bit for bit."""
+def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray) -> np.ndarray:
+    """(P(x + t v) - P(x))/t for every step t of ``DEFAULT_SCHEDULE`` and
+    every row v of a (..., n) block of directions, as a (..., steps, n)
+    array. Each row is formed in the operand order of the point arithmetic,
+    so it equals the quotient of a single direction bit for bit."""
     sp = x.space
-    t = np.array(sched.steps)[:, np.newaxis]
+    t = np.array(DEFAULT_SCHEDULE.steps)[:, np.newaxis]
     step = _finite(x.coords + np.expand_dims(v, -2) * t, "the step x + t v")
     px = _project_coords(set_, sp, x.coords)
     return (_project_coords(set_, sp, step) - px) * (1.0 / t)
 
 
-def _witness_probes(set_: ConvexSet, xbar: PrimalPoint) -> np.ndarray:
-    """The probe directions as rows v0, -v0, v1, -v1, ...: the point, its
-    masked part for a cylinder, every axis, and the cylinder's masked axes
-    once more."""
+def _witness_probes(set_: ConvexSet, xbar: PrimalPoint, masked: list) -> np.ndarray:
+    """The probe directions as rows v0, -v0, v1, -v1, ...: the point, the
+    ``masked`` rays (a cylinder point's nonzero masked part), every axis,
+    and the cylinder's masked axes once more."""
     sp = xbar.space
     eye = np.eye(sp.n)
     rays = [xbar.coords] if not is_theta(xbar) else []
-    if isinstance(set_, Cylinder):
-        xm = np.where(_radial(set_, sp.n)[1], xbar.coords, 0.0)
-        if _norm(xm, sp.weights, sp.p) > sp.theta_tol:
-            rays.append(xm)
-    rays += list(eye)
+    rays += masked + list(eye)
     if isinstance(set_, Cylinder):
         rays += [eye[i] for i in sorted(set_.mask)]
     rays = np.array(rays)
@@ -197,20 +181,21 @@ def nonsmoothness_witness(set_: ConvexSet, xbar: PrimalPoint) -> Witness | None:
     probe in list order with defect >= 0.1 ||v||, or None if no probe
     qualifies (which indicates the point is not genuinely nonsmooth).
     """
+    sp = xbar.space
     if isinstance(set_, (Ball, Cylinder)):
-        tag = classify_region(set_, xbar)
-        if tag.kind is not RegionKind.BOUNDARY:
+        _, _, xm, nrm, kind = _region(set_, xbar)
+        if kind is not RegionKind.BOUNDARY:
             raise NotOnBoundaryError("nonsmoothness witnesses live on the boundary")
+        masked = [xm] if isinstance(set_, Cylinder) and nrm > sp.theta_tol else []
     elif isinstance(set_, PositiveCone):
-        tol = xbar.space.theta_tol
-        if not np.any(np.abs(xbar.coords) <= tol):
+        if not np.any(np.abs(xbar.coords) <= sp.theta_tol):
             raise NotOnBoundaryError("cone witnesses need at least one zero coordinate")
+        masked = []
     else:
         raise UnsupportedSetError("the subspace projection is linear, hence smooth")
-    sp = xbar.space
-    probes = _witness_probes(set_, xbar)
+    probes = _witness_probes(set_, xbar, masked)
     both = np.stack([probes, -probes])
-    limits = _difference_quotients(set_, xbar, both, DEFAULT_SCHEDULE)[:, :, -1]
+    limits = _difference_quotients(set_, xbar, both)[:, :, -1]
     defects = _norm(limits[0] + limits[1], sp.weights, sp.p)
     hits = np.flatnonzero(defects >= 0.1 * _norm(probes, sp.weights, sp.p))
     if hits.size == 0:

@@ -39,13 +39,6 @@ def pick_mask(n: int, density: float, rng: np.random.Generator) -> frozenset[int
     return frozenset(rng.choice(n, size=k, replace=False).tolist())
 
 
-def _nonzero_draw(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    while not np.any(v):
-        v = rng.standard_normal(n)
-    return v
-
-
 def _rescale_masked(space: SpaceConfig, sel: np.ndarray, coords, target: float) -> PrimalPoint:
     """The point with coords' masked part rescaled to norm ``target`` and the
     unmasked coordinates kept. The masked part must be nonzero."""
@@ -102,7 +95,7 @@ def gen_instance(
 
     if kind == "cone":
         set_ = PositiveCone()
-        mags = np.abs(_nonzero_draw(rng, n)) + 0.1
+        mags = np.abs(_masked_draw(space, np.ones(n, dtype=bool), rng)) + 0.1
         if regime == "interior":
             coords = mags
         elif regime == "exterior":
@@ -124,7 +117,7 @@ def gen_instance(
     if kind == "subspace":
         mask = pick_mask(n, mask_density, rng)
         set_ = CoordSubspace(mask=mask)
-        x = space.primal(_nonzero_draw(rng, n))
+        x = space.primal(_masked_draw(space, np.ones(n, dtype=bool), rng))
         if regime in ("interior", "boundary"):
             x = mask_restrict(x, mask)
         return space, set_, x

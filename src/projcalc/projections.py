@@ -178,16 +178,25 @@ def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
     The positive cone and coordinate subspaces are rejected: their geometry is
     handled by dedicated logic rather than a radius comparison.
     """
-    r, sel = _radial(set_, x.space.n)
+    return RegionTag(kind=_region(set_, x)[4])
+
+
+def _region(set_: Ball | Cylinder, x: PrimalPoint):
+    """``(r, sel, xm, nrm, kind)``: the radius and coordinate mask, the masked
+    part x_M and its norm, and the region of x. The only place the boundary
+    band ``DEFAULT_BAND_SCALE * r`` is applied."""
+    sp = x.space
+    r, sel = _radial(set_, sp.n)
+    xm = np.where(sel, x.coords, 0.0)
+    nrm = _norm(xm, sp.weights, sp.p)
     band = DEFAULT_BAND_SCALE * r
-    nrm = _masked_norm(x.space, sel, x.coords)
     if abs(nrm - r) <= band:
         kind = RegionKind.BOUNDARY
     elif nrm < r - band:
         kind = RegionKind.INTERIOR
     else:
         kind = RegionKind.EXTERIOR
-    return RegionTag(kind=kind)
+    return r, sel, xm, nrm, kind
 
 
 # -- projections ---------------------------------------------------------------

@@ -24,6 +24,7 @@ class CaseResult:
     metrics: dict[str, float] = field(default_factory=dict)
     witness: list[float] | None = None
     repro: str = ""
+    error: str | None = None  # "<type>: <message>" of a case that raised
 
 
 @dataclass
@@ -102,6 +103,7 @@ def report_to_dict(report: Report) -> dict:
                 "metrics": c.metrics,
                 "witness": c.witness,
                 "repro": c.repro,
+                **({} if c.error is None else {"error": c.error}),
             }
             for c in sorted(report.cases, key=lambda c: c.case_id)
         ],

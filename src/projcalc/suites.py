@@ -32,6 +32,7 @@ from . import derivatives as dv
 from . import oracle as oc
 from . import projections as pj
 from . import space as spc
+from .errors import ProjcalcError
 from .instances import gen_instance, make_weights, point_at_norm, sample_in_set
 from .report import CaseResult, Report, build_summary
 
@@ -958,7 +959,7 @@ SUITES = {
 SUITE_NAMES = [*SUITES, "all"]
 
 
-def _result(spec: SuiteSpec, case: Case, ok, metrics, witness=None) -> CaseResult:
+def _result(spec: SuiteSpec, case: Case, ok, metrics, witness=None, error=None) -> CaseResult:
     repro = (
         f"projcalc run --suite {spec.suite} --n {spec.n} --p {spec.p} --r {spec.r}"
         f" --mask-density {spec.mask_density} --weights {spec.weights_mode}"
@@ -972,6 +973,7 @@ def _result(spec: SuiteSpec, case: Case, ok, metrics, witness=None) -> CaseResul
         metrics={k: float(v) for k, v in metrics.items()},
         witness=None if witness is None else [float(w) for w in witness],
         repro=repro,
+        error=error,
     )
 
 
@@ -988,7 +990,12 @@ def run_suite(spec: SuiteSpec) -> Report:
         env = _env(spec, suite)
         for case in suite.cases:
             if case.when is None or case.when(env):
-                result = _result(spec, case, *case.check(env))
+                try:
+                    outcome = case.check(env)
+                except ProjcalcError as exc:
+                    # A raising case fails on its own; the run goes on.
+                    outcome = (False, {}, None, f"{type(exc).__name__}: {exc}")
+                result = _result(spec, case, *outcome)
                 if spec.case_filter in (None, case.id):
                     cases.append(result)
     summary = build_summary(cases, ops, ALL_OPS if spec.suite == "all" else ops)

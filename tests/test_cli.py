@@ -5,6 +5,7 @@ import json
 import pytest
 
 from projcalc.cli import main
+from projcalc.suites import SUITES
 
 
 def run_cli(argv, capsys):
@@ -99,6 +100,24 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--suite", "nonsense"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("r", ["1e-170", "1e170"])
+    def test_raising_case_fails_alone(self, tmp_path, capsys, monkeypatch, r):
+        # At these radii some cases raise a ProjcalcError; each is recorded
+        # as failed with its error, and the run still reports every case.
+        monkeypatch.delenv("PROJCALC_SEED", raising=False)
+        out = tmp_path / "report.json"
+        code = main(["run", "--suite", "all", "--r", r, "--samples", "10", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        doc = json.loads(out.read_text())
+        every_case = sum(len(suite.cases) for suite in SUITES.values())
+        assert doc["summary"]["total"] == len(doc["cases"]) == every_case
+        errors = [c for c in doc["cases"] if "error" in c]
+        assert errors
+        for case in errors:
+            assert case["status"] == "fail" and case["metrics"] == {}
+            assert case["error"].split(":")[0].endswith("Error")
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PROJCALC_SEED", "77")

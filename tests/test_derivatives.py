@@ -31,16 +31,6 @@ def interior_point(sp, set_, rng):
     return (set_.r * rng.uniform(0.1, 0.8) / pc.norm_primal(xm)) * xm + (x - xm)
 
 
-class TestSchedule:
-    def test_rejects_bad_schedules(self):
-        with pytest.raises(ValueError):
-            pc.FDSchedule(steps=())
-        with pytest.raises(ValueError):
-            pc.FDSchedule(steps=(1e-3, 1e-2))
-        with pytest.raises(ValueError):
-            pc.FDSchedule(steps=(1e-2, -1e-3))
-
-
 class TestClassifyDirection:
     def test_euclidean_examples(self):
         sp = pc.SpaceConfig(n=2, p=2.0)

@@ -61,6 +61,44 @@ class TestBallIsFullMaskCylinder:
                 pc.classify_direction(set_, xb, sp.zero_primal())
 
 
+@pytest.mark.parametrize("p", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize(
+    "set_", [pc.Ball(1.3), pc.Cylinder(1.3, frozenset({0, 2, 3}))], ids=["ball", "cylinder"]
+)
+def test_one_boundary_rule(set_, p):
+    # Points just inside and just outside the band DEFAULT_BAND_SCALE * r:
+    # every ball and cylinder function puts them on the same side.
+    sp = pc.SpaceConfig(n=5, p=p, weights=np.linspace(0.5, 2.0, 5))
+    rng = np.random.default_rng(17)
+    v = random_primal(sp, rng)
+    for rel, on_boundary in ((0.5e-9, True), (-0.5e-9, True), (2e-9, False), (-2e-9, False)):
+        x = point_at_norm(sp, set_, rng, set_.r * (1.0 + rel))
+        region = pc.classify_region(set_, x).kind
+        assert (region is pc.RegionKind.BOUNDARY) == on_boundary
+        if isinstance(set_, pc.Ball):
+            theta = lambda: pc.sphere_theta_member(set_.r, x, -pc.duality_map(x))  # noqa: E731
+        else:
+            theta = lambda: pc.cylinder_theta_member(  # noqa: E731
+                set_.r, set_.mask, x, -pc.duality_map(x)
+            )
+        boundary_only = (
+            (lambda: pc.classify_direction(set_, x, v), "direction classification"),
+            (lambda: pc.nonsmoothness_witness(set_, x), "witnesses"),
+            (theta, "theta"),
+        )
+        for call, message in boundary_only:
+            if on_boundary:
+                call()
+            else:
+                with pytest.raises(pc.NotOnBoundaryError, match=message):
+                    call()
+        if on_boundary:
+            with pytest.raises(pc.NoDerivativeError):
+                pc.frechet_apply(set_, x, v)
+        else:
+            pc.frechet_apply(set_, x, v)
+
+
 @pytest.mark.parametrize(
     "set_",
     [
