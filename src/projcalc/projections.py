@@ -181,7 +181,9 @@ def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
     return RegionTag(kind=_region(set_, x)[4])
 
 
-def _region(set_: Ball | Cylinder, x: PrimalPoint):
+def _region(
+    set_: Ball | Cylinder, x: PrimalPoint
+) -> tuple[float, np.ndarray, np.ndarray, float, RegionKind]:
     """``(r, sel, xm, nrm, kind)``: the radius and coordinate mask, the masked
     part x_M and its norm, and the region of x. The only place the boundary
     band ``DEFAULT_BAND_SCALE * r`` is applied."""
