@@ -170,8 +170,6 @@ def _cmd_oracle(args) -> int:
     set_ = _make_set(args, space)
     xstar = _parse_vector(args.xstar)
     ystar = _parse_vector(args.ystar)
-    if len(xstar) != space.n or len(ystar) != space.n:
-        raise SystemExit("point, xstar, and ystar must share one dimension")
     seed = args.oracle_seed if args.oracle_seed is not None else _default_seed()
     try:
         radii = OracleConfig.radii
@@ -210,11 +208,7 @@ def _cmd_witness(args) -> int:
     point = _parse_vector(args.point)
     space = _make_space(args, len(point))
     set_ = _make_set(args, space)
-    x = space.primal(point)
-    try:
-        witness = nonsmoothness_witness(set_, x)
-    except ProjcalcError as exc:
-        raise SystemExit(f"witness search failed: {exc}")
+    witness = nonsmoothness_witness(set_, space.primal(point))
     if witness is None:
         payload = {"found": False}
     else:
@@ -239,7 +233,7 @@ def main(argv=None) -> int:
             if args.command == "oracle":
                 return _cmd_oracle(args)
             return _cmd_witness(args)
-    except ProjcalcError as exc:
+    except (ProjcalcError, OSError) as exc:
         raise SystemExit(f"error: {exc}")
 
 

@@ -36,6 +36,7 @@ from .space import (
     DualPoint,
     PrimalPoint,
     _duality,
+    _expect,
     _norm,
     _pair,
     duality_map,
@@ -97,6 +98,8 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
     """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
     decides the remaining boundary queries."""
     sp = xbar.space
+    _expect(sp, PrimalPoint, xbar)
+    _expect(sp, DualPoint, ystar)
     region = _region(set_, xbar)
     r, sel, xm, nrm, kind = region
     if kind is RegionKind.INTERIOR:
@@ -109,7 +112,8 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
     if norm_dual(ystar) <= sp.theta_tol:
         return Singleton(value=sp.zero_dual())
     jx = duality_map(xbar)
-    if norm_dual(ystar - jx) <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
+    gap = _norm(ystar.coords - jx.coords, sp.weights, sp.q)
+    if gap <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
         return EmptyFiber()
     return _theta_member(set_, xbar, ystar, region)
 
@@ -154,6 +158,8 @@ def _theta_member(
     convex evidence, listed after the direction test.
     """
     sp = xbar.space
+    _expect(sp, PrimalPoint, xbar)
+    _expect(sp, DualPoint, ystar)
     r, sel, xm, nxm, kind = region
     if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("theta*-membership needs a boundary point")
@@ -176,8 +182,7 @@ def _theta_member(
     eq_holds = nym > sp.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
     certs.append(ConditionReport(name=eq_label, holds=eq_holds, slack=eq_slack))
 
-    # The reflected candidate -J*(y*), taken in the space of y* as ``duality_map_inv`` does.
-    jy = _duality(ystar.coords, ystar.space.q, ny, ystar.space.theta_tol)
+    jy = _duality(ystar.coords, sp.q, ny, sp.theta_tol)
     cls = _direction(sp, sel, xm, nxm, -jy)
     dir_up = cls.kind is DirectionKind.UP
     certs.append(ConditionReport(name=dir_label, holds=dir_up, slack=cls.slope))
@@ -290,6 +295,8 @@ def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
     flagged, because no vanishing perturbation of f can expose it to the
     projection there.
     """
+    _expect(f.space, PrimalPoint, f)
+    _expect(f.space, DualPoint, phi)
     certs: list[ConditionReport] = []
     tol = COORD_ZERO_TOL
     fc = f.coords
@@ -343,6 +350,7 @@ def cone_interval_at_origin(psi: DualPoint) -> OrderInterval:
 
 def interval_contains(interval: OrderInterval, phi: DualPoint) -> bool:
     """Componentwise lo <= phi <= hi, up to ``COORD_ZERO_TOL``."""
+    _expect(phi.space, DualPoint, interval.lo, interval.hi, phi)
     lo = interval.lo.coords - COORD_ZERO_TOL
     hi = interval.hi.coords + COORD_ZERO_TOL
     return bool(np.all(phi.coords >= lo) and np.all(phi.coords <= hi))

@@ -46,7 +46,7 @@ from .projections import (
     _project_coords,
     _region,
 )
-from .space import PrimalPoint, _duality, _finite, _norm, _pair, is_theta
+from .space import PrimalPoint, _duality, _expect, _finite, _norm, _pair, is_theta
 
 
 class DirectionKind(Enum):
@@ -94,6 +94,7 @@ class Witness:
 def classify_direction(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> DirectionClass:
     """Up/down classification of a nonzero direction at a boundary point,
     by the slope psi(xbar_M, v_M) of the masked norm."""
+    _expect(xbar.space, PrimalPoint, xbar, v)
     _, sel, xm, nrm, kind = _region(set_, xbar)
     if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
@@ -121,6 +122,7 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
     """Apply the closed-form derivative of the projection at an interior or
     exterior point to the direction v. Raises at boundary points, where the
     projection has no derivative."""
+    _expect(xbar.space, PrimalPoint, xbar, v)
     r, sel, xm, nrm, kind = _region(set_, xbar)
     if kind is RegionKind.BOUNDARY:
         raise NoDerivativeError("the projection is not differentiable on the boundary")
@@ -135,9 +137,9 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
 def gateaux_fd(set_: ConvexSet, x: PrimalPoint, v: PrimalPoint) -> FDEstimate:
     """One-sided difference quotients (P(x + t v) - P(x))/t along
     ``DEFAULT_SCHEDULE``, every step in one (steps, n) projection block."""
+    _expect(x.space, PrimalPoint, x, v)
     if is_theta(v):
         raise DegenerateInputError("finite differences need a nonzero direction")
-    x._check(v)
     quotients = _difference_quotients(set_, x, v.coords)
     gaps = tuple(_norm(quotients[1:] - quotients[:-1], x.space.weights, x.space.p).tolist())
     converged = gaps[-1] <= 10.0 * DEFAULT_SCHEDULE.tol

@@ -5,8 +5,8 @@ class ProjcalcError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(ProjcalcError):
-    """Two vectors (or a vector and a space) disagree on dimension or space."""
+class DimensionMismatchError(ProjcalcError, TypeError):
+    """Two vectors (or a vector and a space) disagree on dimension, space or kind."""
 
 
 class DegenerateInputError(ProjcalcError):

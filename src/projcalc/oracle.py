@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import Anchor, o_star
-from .errors import DegenerateInputError, DimensionMismatchError, PreconditionError
+from .errors import DegenerateInputError, PreconditionError
 from .projections import (
     ConvexSet,
     Cylinder,
@@ -43,6 +43,7 @@ from .projections import (
 from .space import (
     DualPoint,
     PrimalPoint,
+    _expect,
     _finite,
     _norm,
     _pair,
@@ -117,19 +118,14 @@ def quotient_denominator_pair(
     magnitudes differ by a factor within [1, sqrt(2)], so the verdict sign
     never depends on the choice.
     """
-    _check_spaces(xbar, xstar, ystar, u)
+    _expect(xbar.space, PrimalPoint, xbar, u)
+    _expect(xbar.space, DualPoint, xstar, ystar)
     px = _project_coords(set_, xbar.space, xbar.coords)
     rows = _quotient_rows(set_, xbar, px, xstar, ystar, u.coords[np.newaxis])
     num, ndu, ndp = (float(v[0]) for v in rows)
     if ndu <= xbar.space.theta_tol:
         raise DegenerateInputError("the probe point must differ from the base point")
     return num / (ndu + ndp), num / math.hypot(ndu, ndp)
-
-
-def _check_spaces(xbar: PrimalPoint, *others) -> None:
-    for pt in others:
-        if not xbar.space.compatible_with(pt.space):
-            raise DimensionMismatchError("the query points live in different spaces")
 
 
 def _quotient_rows(
@@ -163,7 +159,8 @@ def structured_probes(
     The raw rays are stacked with their negatives (v0, -v0, v1, -v1, ...)
     and unitized in one row-norm pass; rays of norm <= theta_tol are dropped.
     """
-    _check_spaces(xbar, xstar, ystar)
+    _expect(xbar.space, PrimalPoint, xbar)
+    _expect(xbar.space, DualPoint, xstar, ystar)
     sp = xbar.space
     x = xbar.coords
     jy = duality_map_inv(ystar).coords
@@ -222,12 +219,11 @@ def test_membership(
     cfg: OracleConfig = OracleConfig(),
 ) -> OracleVerdict:
     """Sampled one-sided membership verdict for x* in the fiber of y* at xbar."""
-    probes = (
-        structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes else []
-    )
+    _expect(xbar.space, PrimalPoint, xbar)
+    _expect(xbar.space, DualPoint, xstar, ystar)
+    probes = structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes else []
     if not probes and cfg.directions_per_radius == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
-    _check_spaces(xbar, xstar, ystar)
     sp = xbar.space
     px = _project_coords(set_, sp, xbar.coords)
     fixed = np.array([d.coords for d in probes]).reshape(len(probes), sp.n)

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     UnsupportedSetError,
 )
-from .space import PrimalPoint, _norm, _pair, duality_map, is_theta
+from .space import PrimalPoint, _expect, _norm, _pair, duality_map, is_theta
 
 # Boundary band, relative to the radius. Boundary cases are constructed
 # exactly in tests, so the band only has to absorb rounding.
@@ -238,10 +238,9 @@ def variational_residual(
     in the set and in the space of x. The competitors are checked and paired
     as one (k, n) block.
     """
+    _expect(x.space, PrimalPoint, x, u, *z_samples)
     if not z_samples:
         raise PreconditionError("variational residual needs at least one competitor")
-    for z in z_samples:
-        u._check(z)
     zs = np.array([z.coords for z in z_samples])
     if not _contains_coords(set_, x.space, zs).all():
         raise PreconditionError("competitor sample lies outside the set")

@@ -72,13 +72,6 @@ class SpaceConfig:
     def theta_tol(self) -> float:
         return THETA_TOL_SCALE * self.n
 
-    def compatible_with(self, other: "SpaceConfig") -> bool:
-        return self is other or (
-            self.n == other.n
-            and self.p == other.p
-            and np.array_equal(self.weights, other.weights)
-        )
-
     # -- point constructors ------------------------------------------------
 
     def primal(self, coords) -> "PrimalPoint":
@@ -123,18 +116,12 @@ class _Point:
     def _like(self, coords):
         return type(self)(coords, self.space)
 
-    def _check(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
-        if not self.space.compatible_with(other.space):
-            raise DimensionMismatchError("points live in different spaces")
-
     def __add__(self, other):
-        self._check(other)
+        _expect(self.space, type(self), other)
         return self._like(self.coords + other.coords)
 
     def __sub__(self, other):
-        self._check(other)
+        _expect(self.space, type(self), other)
         return self._like(self.coords - other.coords)
 
     def __neg__(self):
@@ -155,6 +142,20 @@ class PrimalPoint(_Point):
 
 class DualPoint(_Point):
     """A vector of the dual space (measured in the q-norm, same weights)."""
+
+
+def _expect(space: SpaceConfig, cls: type, *points) -> None:
+    """Raise unless every point is exactly a ``cls`` of a space with the n, p
+    and weights of ``space``: the one rule for which points a public function
+    may combine, called at its entry once per kind of point it takes."""
+    for pt in points:
+        if type(pt) is not cls:
+            raise DimensionMismatchError(f"expected a {cls.__name__}, got {type(pt).__name__}")
+        sp = pt.space
+        if sp is not space and not (
+            (sp.n, sp.p) == (space.n, space.p) and np.array_equal(sp.weights, space.weights)
+        ):
+            raise DimensionMismatchError("points live in different spaces")
 
 
 # -- array kernels ----------------------------------------------------------------
@@ -225,8 +226,8 @@ def is_theta(point: PrimalPoint | DualPoint) -> bool:
 
 def pair(xs: DualPoint, x: PrimalPoint) -> float:
     """Canonical weighted pairing <xs, x> = sum_s w_s xs_s x_s."""
-    if not xs.space.compatible_with(x.space):
-        raise DimensionMismatchError("pairing requires a common space")
+    _expect(x.space, PrimalPoint, x)
+    _expect(x.space, DualPoint, xs)
     return _pair(x.space.weights, xs.coords, x.coords)
 
 
@@ -251,6 +252,7 @@ def smoothness(x: PrimalPoint, y: PrimalPoint) -> float:
     Raises DegenerateInputError when x is numerically the origin, where the
     norm is not differentiable.
     """
+    _expect(x.space, PrimalPoint, x, y)
     nrm = norm_primal(x)
     if nrm <= x.space.theta_tol:
         raise DegenerateInputError("smoothness functional is undefined at the origin")

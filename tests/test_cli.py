@@ -182,6 +182,13 @@ class TestWitness:
             main(["witness", "--set", "ball", "--point", "[0.2, 0]", "--p", "2.0"])
         capsys.readouterr()
 
+    def test_interior_point_prints_one_error_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["witness", "--set", "ball", "--point", "[0.5, 0]"])
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:") and "boundary" in exc.value.code
+
 
 class TestUsageErrors:
     def test_unknown_case_is_a_usage_error(self, tmp_path, capsys):
@@ -252,6 +259,24 @@ class TestUsageErrors:
         # A SystemExit message is printed as one stderr line, with exit code 1.
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith("invalid ") and "finite" in exc.value.code
+
+    def test_query_of_another_dimension_prints_one_error_line(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0,0]",
+                  "--ystar", "[0,1]"])
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:") and "coordinates" in exc.value.code
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_missing_output_directory_prints_one_error_line(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "r.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--suite", "space-identities", "--samples", "10", flag, str(path)])
+        capsys.readouterr()
+        # A SystemExit message is printed as one stderr line, with exit code 1.
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:") and str(path) in exc.value.code
 
     def test_oracle_without_directions_prints_one_error_line(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,97 @@
+"""Every public function that combines points rejects a point of the wrong
+kind or from another space with ``DimensionMismatchError``.
+
+Each call site is crossed with four mismatches: another dimension n, another
+exponent p, other weights, and the other kind (primal for dual or dual for
+primal). The ball and cylinder fibers are tried at interior, exterior and
+boundary base points, since each region takes its own branch.
+"""
+
+import numpy as np
+import pytest
+
+import projcalc as pc
+
+SP = pc.SpaceConfig(n=2, p=3.0)
+BALL = pc.Ball(1.0)
+MASK = frozenset({0})
+CFG = pc.OracleConfig(directions_per_radius=8)
+
+OTHER_SPACES = {
+    "n": pc.SpaceConfig(n=3, p=3.0),
+    "p": pc.SpaceConfig(n=2, p=2.0),
+    "weights": pc.SpaceConfig(n=2, p=3.0, weights=[1.0, 2.0]),
+}
+
+
+def _mismatched(point, mismatch):
+    """The same coordinates as another kind, or as the same kind in another
+    space (padded with zeros when that space is larger)."""
+    if mismatch == "kind":
+        other = pc.DualPoint if isinstance(point, pc.PrimalPoint) else pc.PrimalPoint
+        return other(point.coords, point.space)
+    sp = OTHER_SPACES[mismatch]
+    coords = np.zeros(sp.n)
+    coords[: point.space.n] = point.coords
+    return type(point)(coords, sp)
+
+
+x_in, x_out, x_bd = SP.primal([0.5, 0.3]), SP.primal([2.0, 0.3]), SP.primal([1.0, 0.0])
+v, ys = SP.primal([0.2, -0.7]), SP.dual([-1.0, 0.4])
+u = pc.project(BALL, x_out)
+f, phi = SP.primal([0.0, 1.0]), SP.dual([0.5, 0.0])
+anchor = pc.Anchor.at(x_out)
+
+# name -> call of one mismatched point b(.) among otherwise valid arguments.
+CALLS = {
+    "add": lambda b: x_in + b(v),
+    "sub": lambda b: x_in - b(v),
+    "pair-primal": lambda b: pc.pair(ys, b(v)),
+    "pair-dual": lambda b: pc.pair(b(ys), v),
+    "smoothness": lambda b: pc.smoothness(x_out, b(v)),
+    "variational_residual-u": lambda b: pc.variational_residual(BALL, x_out, b(u), [x_in]),
+    "variational_residual-competitor": lambda b: pc.variational_residual(
+        BALL, x_out, u, [x_in, b(x_in)]
+    ),
+    "classify_direction": lambda b: pc.classify_direction(BALL, x_bd, b(v)),
+    "frechet_apply-interior": lambda b: pc.frechet_apply(BALL, x_in, b(v)),
+    "frechet_apply-exterior": lambda b: pc.frechet_apply(BALL, x_out, b(v)),
+    "gateaux_fd": lambda b: pc.gateaux_fd(BALL, x_in, b(v)),
+    "coderiv_ball-interior": lambda b: pc.coderiv_ball(1.0, x_in, b(ys)),
+    "coderiv_ball-exterior": lambda b: pc.coderiv_ball(1.0, x_out, b(ys)),
+    "coderiv_ball-boundary": lambda b: pc.coderiv_ball(1.0, x_bd, b(ys)),
+    "coderiv_cylinder-interior": lambda b: pc.coderiv_cylinder(1.0, MASK, x_in, b(ys)),
+    "coderiv_cylinder-exterior": lambda b: pc.coderiv_cylinder(1.0, MASK, x_out, b(ys)),
+    "coderiv_cylinder-boundary": lambda b: pc.coderiv_cylinder(1.0, MASK, x_bd, b(ys)),
+    "sphere_theta_member": lambda b: pc.sphere_theta_member(1.0, x_bd, b(-1.0 * ys)),
+    "cylinder_theta_member": lambda b: pc.cylinder_theta_member(
+        1.0, MASK, x_bd, b(SP.dual([-1.0, 0.0]))
+    ),
+    "cone_theta_member": lambda b: pc.cone_theta_member(f, b(phi)),
+    "interval_contains": lambda b: pc.interval_contains(pc.cone_interval_at_origin(phi), b(phi)),
+    "quotient-u": lambda b: pc.quotient_denominator_pair(BALL, x_out, ys, ys, b(x_in)),
+    "quotient-xstar": lambda b: pc.quotient_denominator_pair(BALL, x_out, b(ys), ys, x_in),
+    "quotient-ystar": lambda b: pc.quotient_denominator_pair(BALL, x_out, ys, b(ys), x_in),
+    "structured_probes-xstar": lambda b: pc.oracle.structured_probes(BALL, x_out, b(ys), ys),
+    "structured_probes-ystar": lambda b: pc.oracle.structured_probes(BALL, x_out, ys, b(ys)),
+    "test_membership-xstar": lambda b: pc.test_membership(BALL, x_out, b(ys), ys, CFG),
+    "test_membership-ystar": lambda b: pc.test_membership(BALL, x_out, ys, b(ys), CFG),
+    "a_coef": lambda b: pc.a_coef(anchor, b(v)),
+    "o_part": lambda b: pc.o_part(anchor, b(v)),
+    "a_star": lambda b: pc.a_star(anchor, b(ys)),
+    "o_star": lambda b: pc.o_star(anchor, b(ys)),
+    "in_O": lambda b: pc.in_O(anchor, b(v)),
+}
+
+
+@pytest.mark.parametrize("mismatch", ["n", "p", "weights", "kind"])
+@pytest.mark.parametrize("call", CALLS)
+def test_mismatched_point_raises(call, mismatch):
+    with pytest.raises(pc.DimensionMismatchError) as exc:
+        CALLS[call](lambda pt: _mismatched(pt, mismatch))
+    assert isinstance(exc.value, pc.ProjcalcError) and isinstance(exc.value, TypeError)
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_matching_points_pass(call):
+    CALLS[call](lambda pt: pt)
