@@ -519,9 +519,10 @@ def _nonsmoothness_witnesses(env: Env):
 
 
 def _fd_jacobian(set_, x, h=1e-6):
-    """Central differences along the axes, as C-contiguous columns."""
+    """Central differences of the projection, one column per axis."""
     sp, step = x.space, np.eye(x.space.n) * h
     fwd, bwd = (pj._project_coords(set_, sp, x.coords + s) for s in (step, -step))
+    # C order, as a stack of columns has: ``jac.T @ v`` then sums in the same order.
     return np.ascontiguousarray(((fwd - bwd) / (2 * h)).T)
 
 
