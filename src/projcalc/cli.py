@@ -123,6 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise, and leave no new file."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
@@ -140,6 +148,8 @@ def _cmd_run(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"invalid suite parameters: {exc}")
+    for path in filter(None, (args.out, args.csv)):
+        _check_writable(path)
     report = run_suite(spec)
     if args.case is not None and not report.cases:
         sys.stderr.write(

@@ -12,13 +12,16 @@ derivative, the fiber is the singleton {(grad P(xbar))^T y*}:
 
 On the boundary the fiber degenerates: the query theta* yields {theta*},
 the query J(xb) yields the empty set, and for any other query the closed
-forms characterize membership of theta* only. For the positive cone the
-theta*-membership test is a componentwise sign condition; at the origin the
-fiber of a nonnegative query psi is the componentwise order interval
-[theta*, psi].
+forms characterize membership of theta* only. It is a member exactly when
+the unmasked part of y* vanishes and y*_M is a negative multiple of
+J(xb_M). For the positive cone the theta*-membership test is a componentwise
+sign condition; at the origin the fiber of a nonnegative query psi is the
+componentwise order interval [theta*, psi].
 
 Every verdict carries named condition evaluations with numeric slacks so a
-failed case can be reproduced from its inputs.
+failed case can be reproduced from its inputs. The ball and cylinder fibers
+work on the coordinates of ``projections._region`` and the query; each
+public function checks its points once, at entry.
 """
 
 from __future__ import annotations
@@ -28,22 +31,10 @@ from enum import Enum
 
 import numpy as np
 
-from .decomposition import Anchor, o_star
 from .derivatives import DirectionKind, _direction
 from .errors import NotOnBoundaryError, PreconditionError
 from .projections import Ball, Cylinder, RegionKind, _region
-from .space import (
-    DualPoint,
-    PrimalPoint,
-    _duality,
-    _expect,
-    _norm,
-    _pair,
-    duality_map,
-    duality_map_inv,
-    norm_dual,
-    pair,
-)
+from .space import DualPoint, PrimalPoint, _duality, _expect, _norm, _pair
 
 # Relative tolerance on the alignment equality <y*_M, xb_M> = -r ||y*_M||_q;
 # both sides scale like r * ||y*||.
@@ -94,28 +85,35 @@ class OrderInterval:
 CoderivResult = Singleton | EmptyFiber | ThetaMembership | OrderInterval
 
 
-def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
-    """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
-    decides the remaining boundary queries."""
+def _checked(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint):
+    """Check xbar and y* once; return the space and ``projections._region``."""
     sp = xbar.space
     _expect(sp, PrimalPoint, xbar)
     _expect(sp, DualPoint, ystar)
-    region = _region(set_, xbar)
+    return sp, _region(set_, xbar)
+
+
+def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
+    """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
+    decides the remaining boundary queries."""
+    sp, region = _checked(set_, xbar, ystar)
     r, sel, xm, nrm, kind = region
+    yc, w = ystar.coords, sp.weights
     if kind is RegionKind.INTERIOR:
         return Singleton(value=ystar)
     if kind is RegionKind.EXTERIOR:
-        ym = np.where(sel, ystar.coords, 0.0)
-        a = _pair(sp.weights, ym, xm) / nrm**2
+        ym = np.where(sel, yc, 0.0)
+        a = _pair(w, ym, xm) / nrm**2
         jm = _duality(xm, sp.p, nrm, sp.theta_tol)
-        return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (ystar.coords - ym)))
-    if norm_dual(ystar) <= sp.theta_tol:
+        return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (yc - ym)))
+    ny = _norm(yc, w, sp.q)
+    if ny <= sp.theta_tol:
         return Singleton(value=sp.zero_dual())
-    jx = duality_map(xbar)
-    gap = _norm(ystar.coords - jx.coords, sp.weights, sp.q)
-    if gap <= QUERY_MATCH_TOL * max(1.0, norm_dual(jx)):
+    jx = _duality(xbar.coords, sp.p, _norm(xbar.coords, w, sp.p), sp.theta_tol)
+    gap = _norm(yc - jx, w, sp.q)
+    if gap <= QUERY_MATCH_TOL * max(1.0, _norm(jx, w, sp.q)):
         return EmptyFiber()
-    return _theta_member(set_, xbar, ystar, region)
+    return _theta_member(set_, sp, yc, region, ny)
 
 
 def coderiv_ball(r: float, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
@@ -146,52 +144,39 @@ _CYLINDER_LABELS = (
 )
 
 
-def _theta_member(
-    set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint, region
-) -> ThetaMembership:
-    """Theta*-membership at a boundary point of a ball or cylinder, given
-    the point's ``projections._region``.
+def _theta_member(set_: Ball | Cylinder, sp, yc: np.ndarray, region, ny: float) -> ThetaMembership:
+    """Theta*-membership of the query coordinates yc, of dual norm ny >
+    theta_tol, at a boundary point of a ball or cylinder, given the point's
+    ``projections._region``.
 
     Membership holds exactly when the unmasked part of y* vanishes, the
     masked reflected candidate -(J*(y*))_M points out of the set, and
-    <y*_M, xbar_M> = -r ||y*_M||_q. A ball also reports the uniformly
-    convex evidence, listed after the direction test.
+    <y*_M, xbar_M> = -r ||y*_M||_q.
     """
-    sp = xbar.space
-    _expect(sp, PrimalPoint, xbar)
-    _expect(sp, DualPoint, ystar)
-    r, sel, xm, nxm, kind = region
-    if kind is not RegionKind.BOUNDARY:
-        raise NotOnBoundaryError("theta*-membership needs a boundary point")
-    ny = norm_dual(ystar)
-    if ny <= sp.theta_tol:
-        raise PreconditionError("the zero query is handled by the fiber dispatch")
-    is_ball = isinstance(set_, Ball)
-    tail_label, eq_label, dir_label, align_label = _BALL_LABELS if is_ball else _CYLINDER_LABELS
+    r, sel, xm, nxm, _ = region
+    w = sp.weights
+    labels = _BALL_LABELS if isinstance(set_, Ball) else _CYLINDER_LABELS
+    tail_label, eq_label, dir_label, align_label = labels
 
     certs: list[ConditionReport] = []
-    ym = np.where(sel, ystar.coords, 0.0)
-    tail = _norm(ystar.coords - ym, sp.weights, sp.q)
+    ym = np.where(sel, yc, 0.0)
+    tail = _norm(yc - ym, w, sp.q)
     tail_zero = tail <= QUERY_MATCH_TOL * ny
     if tail_label is not None:
         certs.append(ConditionReport(name=tail_label, holds=tail_zero, slack=tail))
 
-    nym = _norm(ym, sp.weights, sp.q)
-    pairing = _pair(sp.weights, ym, xm)
-    eq_slack = pairing + r * nym
+    nym = _norm(ym, w, sp.q)
+    eq_slack = _pair(w, ym, xm) + r * nym
     eq_holds = nym > sp.theta_tol and abs(eq_slack) <= ALIGNMENT_TOL * r * nym
     certs.append(ConditionReport(name=eq_label, holds=eq_holds, slack=eq_slack))
 
-    jy = _duality(ystar.coords, sp.q, ny, sp.theta_tol)
-    cls = _direction(sp, sel, xm, nxm, -jy)
+    cls = _direction(sp, sel, xm, nxm, -_duality(yc, sp.q, ny, sp.theta_tol))
     dir_up = cls.kind is DirectionKind.UP
     certs.append(ConditionReport(name=dir_label, holds=dir_up, slack=cls.slope))
-    if is_ball:
-        certs += _uniformly_convex(region, xbar, ystar, pairing, ny)
 
     if eq_holds and tail_zero:
         c = nym / r
-        align = _norm(ym + c * _duality(xm, sp.p, nxm, sp.theta_tol), sp.weights, sp.q)
+        align = _norm(ym + c * _duality(xm, sp.p, nxm, sp.theta_tol), w, sp.q)
         certs.append(ConditionReport(name=align_label, holds=align <= 1e-8 * nym, slack=align))
 
     slope_band = 1e-12 * max(1.0, ny)
@@ -206,56 +191,16 @@ def _theta_member(
     return ThetaMembership(verdict=verdict, certificates=tuple(certs))
 
 
-def _uniformly_convex(
-    region, xbar: PrimalPoint, ystar: DualPoint, pairing: float, ny: float
-) -> list[ConditionReport]:
-    """Necessary conditions for theta*-membership at a sphere point, given
-    its ``projections._region``, that hold in any uniformly convex and
-    uniformly smooth norm, plus the p = 2 parallel test; reported as
-    evidence, not used for the verdict."""
-    sp = xbar.space
-    r, sel, xm, nxm, _ = region
-    certs = [
-        ConditionReport(
-            name="pairing with base point is nonpositive",
-            holds=pairing <= ALIGNMENT_TOL * r * ny,
-            slack=pairing,
-        )
-    ]
-    anchor = Anchor.at(xbar)
-    osy = o_star(anchor, ystar)
-    josy = duality_map_inv(osy)
-    njosy = _norm(josy.coords, sp.weights, sp.p)
-    if njosy <= sp.theta_tol:
-        stays, slope, balance = True, 0.0, 0.0
-    else:
-        tcls = _direction(sp, sel, xm, nxm, -josy.coords)
-        stays, slope = tcls.kind is DirectionKind.DOWN, tcls.slope
-        balance = (pairing / r**2) * pair(anchor.xbar_star, josy) + njosy**2
-    certs.append(
-        ConditionReport(
-            name="reflected tangential component -J*(o*(y*)) stays in the ball",
-            holds=stays,
-            slack=slope,
-        )
-    )
-    certs.append(
-        ConditionReport(
-            name="tangential balance term is nonpositive",
-            holds=balance <= ALIGNMENT_TOL * max(1.0, ny**2),
-            slack=balance,
-        )
-    )
-    if sp.p == 2.0:
-        par_slack = norm_dual(osy)
-        certs.append(
-            ConditionReport(
-                name="hilbert test: y* parallel to base point with negative pairing",
-                holds=par_slack <= 1e-8 * ny and pairing < 0.0,
-                slack=par_slack,
-            )
-        )
-    return certs
+def _theta_entry(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
+    """``_theta_member`` behind the checks of the public verdict functions:
+    a boundary point and a nonzero query."""
+    sp, region = _checked(set_, xbar, ystar)
+    if region[4] is not RegionKind.BOUNDARY:
+        raise NotOnBoundaryError("theta*-membership needs a boundary point")
+    ny = _norm(ystar.coords, sp.weights, sp.q)
+    if ny <= sp.theta_tol:
+        raise PreconditionError("the zero query is handled by the fiber dispatch")
+    return _theta_member(set_, sp, ystar.coords, region, ny)
 
 
 def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
@@ -264,12 +209,9 @@ def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaM
     Membership holds exactly when the reflected candidate -J*(y*) points out
     of the ball and <y*, xbar> = -r ||y*||_q. In a p-norm space the equality
     forces y* to be a negative multiple of J(xbar), which the certificate
-    list records, together with the weaker necessary conditions that hold in
-    any uniformly convex and uniformly smooth norm and the p = 2 parallel
-    test.
+    list records. The list is the full-mask cylinder's without its tail test.
     """
-    ball = Ball(r)
-    return _theta_member(ball, xbar, ystar, _region(ball, xbar))
+    return _theta_entry(Ball(r), xbar, ystar)
 
 
 def cylinder_theta_member(
@@ -281,8 +223,7 @@ def cylinder_theta_member(
     part of y* vanishes, the masked reflected candidate points out of the
     masked ball, and <y*_M, xbar_M> = -r ||y*_M||_q.
     """
-    cyl = Cylinder(r=r, mask=frozenset(mask))
-    return _theta_member(cyl, xbar, ystar, _region(cyl, xbar))
+    return _theta_entry(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
 
 
 def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
@@ -334,6 +275,7 @@ def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
 
 def cone_jf_member(f: PrimalPoint) -> ThetaMembership:
     """For nonnegative f, J(f) always belongs to its own fiber."""
+    _expect(f.space, PrimalPoint, f)
     min_coord = float(np.min(f.coords))
     if min_coord < -COORD_ZERO_TOL:
         raise PreconditionError("the point must lie in the positive cone")
@@ -343,6 +285,7 @@ def cone_jf_member(f: PrimalPoint) -> ThetaMembership:
 
 def cone_interval_at_origin(psi: DualPoint) -> OrderInterval:
     """Fiber of a nonnegative query at the origin: the order interval [theta*, psi]."""
+    _expect(psi.space, DualPoint, psi)
     if float(np.min(psi.coords)) < -COORD_ZERO_TOL:
         raise PreconditionError("the query must lie in the nonnegative dual cone")
     return OrderInterval(lo=psi.space.zero_dual(), hi=psi)

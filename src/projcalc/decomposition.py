@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateInputError
-from .space import DualPoint, PrimalPoint, duality_map, norm_primal, pair
+from .space import DualPoint, PrimalPoint, _duality, _expect, _norm, _pair, norm_primal, pair
 
 ANCHOR_PAIRING_TOL = 1e-9
 
@@ -35,12 +35,15 @@ class Anchor:
 
     @classmethod
     def at(cls, xbar: PrimalPoint) -> "Anchor":
-        nrm = norm_primal(xbar)
-        if nrm <= xbar.space.theta_tol:
+        sp = xbar.space
+        _expect(sp, PrimalPoint, xbar)
+        nrm = _norm(xbar.coords, sp.weights, sp.p)
+        if nrm <= sp.theta_tol:
             raise DegenerateInputError("anchor must be a nonzero point")
-        xbar_star = duality_map(xbar)
+        xbar_star = DualPoint(_duality(xbar.coords, sp.p, nrm, sp.theta_tol), sp)
         nsq = nrm * nrm
-        if abs(pair(xbar_star, xbar) - nsq) > ANCHOR_PAIRING_TOL * max(1.0, nsq):
+        gap = abs(_pair(sp.weights, xbar_star.coords, xbar.coords) - nsq)
+        if gap > ANCHOR_PAIRING_TOL * max(1.0, nsq):
             raise DegenerateInputError("duality pairing at the anchor is inconsistent")
         return cls(xbar=xbar, xbar_star=xbar_star, norm=nrm, norm_sq=nsq)
 

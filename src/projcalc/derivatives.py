@@ -184,6 +184,7 @@ def nonsmoothness_witness(set_: ConvexSet, xbar: PrimalPoint) -> Witness | None:
     qualifies (which indicates the point is not genuinely nonsmooth).
     """
     sp = xbar.space
+    _expect(sp, PrimalPoint, xbar)
     if isinstance(set_, (Ball, Cylinder)):
         _, _, xm, nrm, kind = _region(set_, xbar)
         if kind is not RegionKind.BOUNDARY:

@@ -154,6 +154,7 @@ def neg_part(f):
 
 
 def set_contains(set_: ConvexSet, x: PrimalPoint, tol: float = SET_MEMBERSHIP_TOL) -> bool:
+    _expect(x.space, PrimalPoint, x)
     return bool(_contains_coords(set_, x.space, x.coords, tol))
 
 
@@ -178,6 +179,7 @@ def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
     The positive cone and coordinate subspaces are rejected: their geometry is
     handled by dedicated logic rather than a radius comparison.
     """
+    _expect(x.space, PrimalPoint, x)
     return RegionTag(kind=_region(set_, x)[4])
 
 
@@ -206,6 +208,7 @@ def _region(
 
 def project(set_: ConvexSet, x: PrimalPoint) -> PrimalPoint:
     """Nearest point of the set in the weighted p-norm (closed form)."""
+    _expect(x.space, PrimalPoint, x)
     return PrimalPoint(_project_coords(set_, x.space, x.coords), x.space)
 
 

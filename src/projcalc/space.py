@@ -209,11 +209,13 @@ def _duality(coords: np.ndarray, exponent: float, nrm: float, tol: float) -> np.
 
 def norm_primal(x: PrimalPoint) -> float:
     """Weighted p-norm (sum_s w_s |x_s|^p)^(1/p)."""
+    _expect(x.space, PrimalPoint, x)
     return _norm(x.coords, x.space.weights, x.space.p)
 
 
 def norm_dual(xs: DualPoint) -> float:
     """Weighted q-norm of a dual vector; equals ||J(x)|| whenever xs = J(x)."""
+    _expect(xs.space, DualPoint, xs)
     return _norm(xs.coords, xs.space.weights, xs.space.q)
 
 
@@ -237,13 +239,17 @@ def duality_map(x: PrimalPoint) -> DualPoint:
     Satisfies <J(x), x> = ||x||_p^2 and ||J(x)||_q = ||x||_p.
     """
     sp = x.space
-    return DualPoint(_duality(x.coords, sp.p, norm_primal(x), sp.theta_tol), sp)
+    _expect(sp, PrimalPoint, x)
+    nrm = _norm(x.coords, sp.weights, sp.p)
+    return DualPoint(_duality(x.coords, sp.p, nrm, sp.theta_tol), sp)
 
 
 def duality_map_inv(xs: DualPoint) -> PrimalPoint:
     """Inverse duality mapping J*; J* o J and J o J* are identities."""
     sp = xs.space
-    return PrimalPoint(_duality(xs.coords, sp.q, norm_dual(xs), sp.theta_tol), sp)
+    _expect(sp, DualPoint, xs)
+    nrm = _norm(xs.coords, sp.weights, sp.q)
+    return PrimalPoint(_duality(xs.coords, sp.q, nrm, sp.theta_tol), sp)
 
 
 def smoothness(x: PrimalPoint, y: PrimalPoint) -> float:
@@ -252,8 +258,9 @@ def smoothness(x: PrimalPoint, y: PrimalPoint) -> float:
     Raises DegenerateInputError when x is numerically the origin, where the
     norm is not differentiable.
     """
-    _expect(x.space, PrimalPoint, x, y)
-    nrm = norm_primal(x)
-    if nrm <= x.space.theta_tol:
+    sp = x.space
+    _expect(sp, PrimalPoint, x, y)
+    nrm = _norm(x.coords, sp.weights, sp.p)
+    if nrm <= sp.theta_tol:
         raise DegenerateInputError("smoothness functional is undefined at the origin")
-    return pair(duality_map(x), y) / nrm
+    return _pair(sp.weights, _duality(x.coords, sp.p, nrm, sp.theta_tol), y.coords) / nrm

@@ -278,6 +278,19 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith("error:") and str(path) in exc.value.code
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, flag):
+        def run_suite(spec):
+            raise AssertionError("the suite ran before the output path was checked")
+
+        monkeypatch.setattr("projcalc.cli.run_suite", run_suite)
+        path = tmp_path / "missing" / "r.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--suite", "all", flag, str(path)])
+        assert capsys.readouterr().out == ""
+        assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+        assert exc.value.code.startswith("error:") and str(path) in exc.value.code
+
     def test_oracle_without_directions_prints_one_error_line(self):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",

@@ -4,7 +4,8 @@ kind or from another space with ``DimensionMismatchError``.
 Each call site is crossed with four mismatches: another dimension n, another
 exponent p, other weights, and the other kind (primal for dual or dual for
 primal). The ball and cylinder fibers are tried at interior, exterior and
-boundary base points, since each region takes its own branch.
+boundary base points, since each region takes its own branch. A function
+given a single point rejects a point of the wrong kind the same way.
 """
 
 import numpy as np
@@ -95,3 +96,26 @@ def test_mismatched_point_raises(call, mismatch):
 @pytest.mark.parametrize("call", CALLS)
 def test_matching_points_pass(call):
     CALLS[call](lambda pt: pt)
+
+
+# name -> call of a single point b(.) that must be of the other kind.
+SINGLE = {
+    "norm_primal": lambda b: pc.norm_primal(b(v)),
+    "norm_dual": lambda b: pc.norm_dual(b(ys)),
+    "duality_map": lambda b: pc.duality_map(b(v)),
+    "duality_map_inv": lambda b: pc.duality_map_inv(b(ys)),
+    "project": lambda b: pc.project(BALL, b(x_out)),
+    "set_contains": lambda b: pc.set_contains(BALL, b(x_in)),
+    "classify_region": lambda b: pc.classify_region(BALL, b(x_out)),
+    "nonsmoothness_witness": lambda b: pc.nonsmoothness_witness(BALL, b(x_bd)),
+    "Anchor.at": lambda b: pc.Anchor.at(b(x_out)),
+    "cone_jf_member": lambda b: pc.cone_jf_member(b(f)),
+    "cone_interval_at_origin": lambda b: pc.cone_interval_at_origin(b(phi)),
+}
+
+
+@pytest.mark.parametrize("call", SINGLE)
+def test_single_point_of_the_wrong_kind_raises(call):
+    with pytest.raises(pc.DimensionMismatchError):
+        SINGLE[call](lambda pt: _mismatched(pt, "kind"))
+    SINGLE[call](lambda pt: pt)

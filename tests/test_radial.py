@@ -48,10 +48,23 @@ class TestBallIsFullMaskCylinder:
                 cyl = pc.cylinder_theta_member(1.0, mask, xb, query)
                 assert ball.verdict is cyl.verdict
                 # The cylinder lists its unmasked-tail test first; the ball
-                # lists its uniformly-convex evidence after the direction test.
+                # lists no tail test.
                 assert _bits(ball.certificates[:2]) == _bits(cyl.certificates[1:3])
                 if len(cyl.certificates) == 4:
                     assert _bits(ball.certificates[-1:]) == _bits(cyl.certificates[-1:])
+
+    @pytest.mark.parametrize("weights", ["ones", "random"])
+    def test_ball_certificates_are_the_full_cylinder_ones_without_the_tail(self, rng, weights):
+        for p in P_GRID:
+            w = np.ones(5) if weights == "ones" else rng.uniform(0.5, 2.0, 5)
+            sp = pc.SpaceConfig(n=5, p=p, weights=w)
+            mask = frozenset(range(sp.n))
+            xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
+            ys = random_dual(sp, rng)
+            for query in (-0.7 * pc.duality_map(xb), ys, pc.o_star(pc.Anchor.at(xb), ys)):
+                ball = pc.sphere_theta_member(1.0, xb, query).certificates
+                cyl = pc.cylinder_theta_member(1.0, mask, xb, query).certificates
+                assert _bits(ball) == _bits(cyl[1:])
 
     def test_zero_direction_is_degenerate_for_every_radial_set(self):
         sp = pc.SpaceConfig(n=3, p=3.0)

@@ -3,10 +3,12 @@
 Runs the full suite on a fixed grid -- seeds {0, 7, 123} x p in {1.5, 2, 3, 7}
 x weights {ones, random} x samples {32, 100}, 48 runs -- once in the working
 tree and once in a ``git archive`` export of REV. Compares each run's exit
-code and its report with the timestamp line removed. Then runs a fixed list
-of ``projcalc oracle`` and ``projcalc witness`` commands in both trees and
-compares their exit code, stdout and stderr. Prints every pair that differs,
-and exits 1 if any does.
+code and its report with the timestamp line removed. Compares the same way
+two runs at radii where some cases raise, ``--samples 10 --r 1e-170`` and
+``--r 1e170``; both exit 1 by design, so they are counted apart from the
+grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
+commands in both trees and compares their exit code, stdout and stderr.
+Prints every pair that differs, and exits 1 if any does.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -28,6 +30,9 @@ GRID = list(
     itertools.product((0, 7, 123), ("1.5", "2", "3", "7"), ("ones", "random"), (32, 100))
 )
 
+# Runs in which some cases raise a ProjcalcError and are recorded as failed:
+# where a deleted or moved ``raise`` would show.
+RAISING_RUNS = [["--samples", "10", "--r", "1e-170"], ["--samples", "10", "--r", "1e170"]]
 
 # The README examples; an oracle query for each set; a boundary witness for
 # each set; and a witness at an interior point, which is an error.
@@ -55,11 +60,28 @@ def _cli(tree: Path, argv: list[str]) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def _run(tree: Path, seed: int, p: str, weights: str, samples: int) -> tuple[int, str]:
-    code, out, _ = _cli(tree, ["run", "--suite", "all", "--seed", str(seed), "--p", p,
-                               "--weights", weights, "--samples", str(samples)])
+def _grid_args(seed: int, p: str, weights: str, samples: int) -> list[str]:
+    return ["--seed", str(seed), "--p", p, "--weights", weights, "--samples", str(samples)]
+
+
+def _run(tree: Path, args: list[str]) -> tuple[int, str]:
+    code, out, _ = _cli(tree, ["run", "--suite", "all", *args])
     lines = out.splitlines(keepends=True)
     return code, "".join(ln for ln in lines if not ln.startswith('  "timestamp": '))
+
+
+def _compare(old: Path, rev: str, run_args: list[str]) -> tuple[bool, bool]:
+    """Whether the run differs between REV's tree and this one, and whether
+    either exits nonzero; prints the diff of a differing pair."""
+    (code_a, text_a), (code_b, text_b) = _run(old, run_args), _run(ROOT, run_args)
+    differs = (code_a, text_a) != (code_b, text_b)
+    if differs:
+        print(f"DIFFERS: run {' '.join(run_args)}: exit {code_a} at {rev}, {code_b} here")
+        sys.stdout.writelines(
+            difflib.unified_diff(text_a.splitlines(keepends=True),
+                                 text_b.splitlines(keepends=True), rev, "working tree")
+        )
+    return differs, code_a != 0 or code_b != 0
 
 
 def main(argv=None) -> int:
@@ -69,19 +91,8 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="report-grid-") as tmp:
         _export(args.against, Path(tmp))
-        differ = failed = 0
-        for point in GRID:
-            label = "seed {} p {} weights {} samples {}".format(*point)
-            (code_a, text_a), (code_b, text_b) = _run(Path(tmp), *point), _run(ROOT, *point)
-            failed += code_a != 0 or code_b != 0
-            if (code_a, text_a) == (code_b, text_b):
-                continue
-            differ += 1
-            print(f"DIFFERS: {label}: exit {code_a} at {args.against}, {code_b} here")
-            sys.stdout.writelines(
-                difflib.unified_diff(text_a.splitlines(keepends=True),
-                                     text_b.splitlines(keepends=True), args.against, "working tree")
-            )
+        grid = [_compare(Path(tmp), args.against, _grid_args(*point)) for point in GRID]
+        raising = [_compare(Path(tmp), args.against, run_args) for run_args in RAISING_RUNS]
         cli_differ = 0
         for argv in COMMANDS:
             a, b = _cli(Path(tmp), argv), _cli(ROOT, argv)
@@ -91,10 +102,14 @@ def main(argv=None) -> int:
                 for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
                     if x != y:
                         print(f"  {what} at {args.against}: {x!r}\n  {what} here: {y!r}")
+    differ = sum(d for d, _ in grid)
+    raising_differ = sum(d for d, _ in raising)
     print(f"{len(GRID) - differ}/{len(GRID)} reports identical; "
-          f"{failed} grid points with a nonzero exit")
+          f"{sum(f for _, f in grid)} grid points with a nonzero exit")
+    print(f"{len(RAISING_RUNS) - raising_differ}/{len(RAISING_RUNS)} raising-case runs "
+          f"identical; {sum(f for _, f in raising)} with a nonzero exit (each exits 1 by design)")
     print(f"{len(COMMANDS) - cli_differ}/{len(COMMANDS)} CLI commands identical")
-    return 1 if differ or cli_differ else 0
+    return 1 if differ or raising_differ or cli_differ else 0
 
 
 if __name__ == "__main__":
