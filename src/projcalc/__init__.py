@@ -34,6 +34,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     InvalidSetError,
+    InvalidSpaceError,
     NoDerivativeError,
     NonFiniteError,
     NotOnBoundaryError,

@@ -14,9 +14,12 @@ On the boundary the fiber degenerates: the query theta* yields {theta*},
 the query J(xb) yields the empty set, and for any other query the closed
 forms characterize membership of theta* only. It is a member exactly when
 the unmasked part of y* vanishes and y*_M is a negative multiple of
-J(xb_M). For the positive cone the theta*-membership test is a componentwise
-sign condition; at the origin the fiber of a nonnegative query psi is the
-componentwise order interval [theta*, psi].
+J(xb_M). For the positive cone the fiber of psi at f is a box, taken one
+coordinate at a time from the graph of t -> max(t, 0) (Rockafellar-Wets,
+Variational Analysis, Prop. 6.41): {psi_i} where f_i > 0, [0, psi_i] where
+f_i = 0 (empty if psi_i < 0) and {0} where f_i < 0. theta* is a member iff
+every coordinate's interval holds 0; at the origin the box of a nonnegative
+psi is the order interval [theta*, psi].
 
 Every verdict carries named condition evaluations with numeric slacks so a
 failed case can be reproduced from its inputs. The ball and cylinder fibers
@@ -227,50 +230,33 @@ def cylinder_theta_member(
 
 
 def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
-    """Componentwise sign test for theta* membership in the cone fiber of phi.
+    """Coordinatewise box test for theta* membership in the cone fiber of phi.
 
-    With strictly positive weights a null set is empty, so membership holds
-    exactly when no coordinate has (phi != 0 and f > 0) and none has
-    (phi < 0 and f <= 0). Violating coordinates are listed as certificates;
-    a violation at a strictly negative coordinate of f is additionally
-    flagged, because no vanishing perturbation of f can expose it to the
-    projection there.
+    The fiber is a box: coordinate i is {phi_i} where f_i > 0, [0, phi_i]
+    where f_i = 0 (empty if phi_i < 0), and {0} where f_i < 0. So theta* is
+    a member exactly when no coordinate has (f > 0 and phi != 0) and none
+    has (f = 0 and phi < 0), each up to ``COORD_ZERO_TOL``. Every violating
+    coordinate gets one certificate, in ascending order.
     """
     _expect(f.space, PrimalPoint, f)
     _expect(f.space, DualPoint, phi)
-    certs: list[ConditionReport] = []
     tol = COORD_ZERO_TOL
-    fc = f.coords
-    pc = phi.coords
-    ok = True
-    for i in range(f.space.n):
-        if abs(pc[i]) > tol and fc[i] > tol:
-            ok = False
-            certs.append(
-                ConditionReport(
-                    name=f"coordinate {i}: dual is nonzero where the point is positive",
-                    holds=False,
-                    slack=float(min(abs(pc[i]), fc[i])),
-                )
-            )
-        if pc[i] < -tol and fc[i] <= tol:
-            ok = False
-            suffix = ""
-            if fc[i] < -tol:
-                suffix = " (strictly negative coordinate: invisible to vanishing perturbations)"
-            certs.append(
-                ConditionReport(
-                    name=f"coordinate {i}: dual is negative where the point is nonpositive" + suffix,
-                    holds=False,
-                    slack=float(-pc[i]),
-                )
-            )
-    if ok:
-        certs.append(
-            ConditionReport(name="no sign conflicts on any coordinate", holds=True, slack=0.0)
-        )
-    verdict = Verdict.MEMBER if ok else Verdict.NOT_MEMBER
-    return ThetaMembership(verdict=verdict, certificates=tuple(certs))
+    fc, pc = f.coords, phi.coords
+    on_pos = (fc > tol) & (np.abs(pc) > tol)
+    on_zero = (np.abs(fc) <= tol) & (pc < -tol)
+    flagged = (on_pos | on_zero).nonzero()[0].tolist()
+    if not flagged:
+        cert = ConditionReport(name="no sign conflicts on any coordinate", holds=True, slack=0.0)
+        return ThetaMembership(verdict=Verdict.MEMBER, certificates=(cert,))
+    fl, pl = fc.tolist(), pc.tolist()
+    certs = []
+    for i in flagged:
+        if fl[i] > tol:
+            name, slack = "dual is nonzero where the point is positive", min(abs(pl[i]), fl[i])
+        else:
+            name, slack = "dual is negative where the point is zero", -pl[i]
+        certs.append(ConditionReport(name=f"coordinate {i}: {name}", holds=False, slack=slack))
+    return ThetaMembership(verdict=Verdict.NOT_MEMBER, certificates=tuple(certs))
 
 
 def cone_jf_member(f: PrimalPoint) -> ThetaMembership:

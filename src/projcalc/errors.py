@@ -33,5 +33,9 @@ class NonFiniteError(ProjcalcError, ValueError):
     """A coordinate, or a norm computed from finite coordinates, is not finite."""
 
 
+class InvalidSpaceError(ProjcalcError, ValueError):
+    """A space's parameters are invalid: n, p or the weights out of range."""
+
+
 class InvalidSetError(ProjcalcError, ValueError):
-    """A set's parameters are invalid: a radius outside (0, inf) or an empty mask."""
+    """A set's parameters are invalid: a radius outside (0, inf), an empty or non-integer mask."""

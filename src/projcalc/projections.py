@@ -22,6 +22,7 @@ list of feasible competitors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,6 +43,14 @@ DEFAULT_BAND_SCALE = 1e-9
 SET_MEMBERSHIP_TOL = 1e-9
 
 
+def _index_set(mask) -> frozenset[int]:
+    """The mask as a frozenset of ints; an entry that is not an integer raises."""
+    try:
+        return frozenset(operator.index(i) for i in mask)
+    except TypeError:
+        raise InvalidSetError(f"a mask is a set of integer indices, got {mask!r}") from None
+
+
 @dataclass(frozen=True)
 class Ball:
     r: float
@@ -59,7 +68,7 @@ class Cylinder:
     def __post_init__(self):
         if not 0.0 < self.r < np.inf:
             raise InvalidSetError(f"cylinder radius must be positive and finite, got {self.r}")
-        object.__setattr__(self, "mask", frozenset(self.mask))
+        object.__setattr__(self, "mask", _index_set(self.mask))
         if not self.mask:
             raise InvalidSetError("cylinder mask must be nonempty")
 
@@ -69,7 +78,7 @@ class CoordSubspace:
     mask: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "mask", frozenset(self.mask))
+        object.__setattr__(self, "mask", _index_set(self.mask))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionMismatchError, NonFiniteError
+from .errors import DegenerateInputError, DimensionMismatchError, InvalidSpaceError, NonFiniteError
 
 # Exponents outside this range make |x|^(p-2) too ill-conditioned to verify
 # at 64-bit precision.
@@ -52,10 +52,10 @@ class SpaceConfig:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be positive, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise InvalidSpaceError(f"dimension must be a positive integer, got {self.n!r}")
         if not (P_MIN <= self.p <= P_MAX):
-            raise ValueError(f"exponent p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
+            raise InvalidSpaceError(f"exponent p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
         object.__setattr__(self, "q", self.p / (self.p - 1.0))
         if self.weights is None:
             w = np.ones(self.n)
@@ -64,7 +64,7 @@ class SpaceConfig:
         if w.shape != (self.n,):
             raise DimensionMismatchError(f"need {self.n} weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("all weights must be finite and strictly positive")
+            raise InvalidSpaceError("all weights must be finite and strictly positive")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

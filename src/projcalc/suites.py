@@ -14,8 +14,9 @@ suite's cases draw in turn.
 ``case_filter`` filters results, not work: the named case's whole suite
 runs and only that case is kept, so the case sees the draws of a full run
 and every report's ``repro`` line reproduces its case. Operation coverage
-is declared: the summary lists the union of the run suites' op lists and,
-for ``all``, compares it with the independent list ``ALL_OPS``.
+is declared: the summary lists the union of the op lists of the suites that
+ran (with ``case_filter``, only the named case's suite) and compares it with
+the independent list ``ALL_OPS``, so only a full ``all`` run is complete.
 """
 
 from __future__ import annotations
@@ -856,12 +857,17 @@ def _cone_crosscheck(env: Env):
     ok &= isinstance(
         oc.test_membership(cone, neg, sp.zero_dual(), phi, cfg), oc.NotRejected
     )
+    # A negative query at a negative point: the box there is {0}.
+    flipped = sp.dual(-phi.coords)
+    ok &= cd.cone_theta_member(neg, flipped).verdict is cd.Verdict.MEMBER
+    ok &= isinstance(
+        oc.test_membership(cone, neg, sp.zero_dual(), flipped, cfg), oc.NotRejected
+    )
     theta = sp.zero_primal()
     psi = sp.dual(np.abs(rng.standard_normal(sp.n)) + 0.2)
     inside = sp.dual(rng.uniform(0.0, 1.0, sp.n) * psi.coords)
     ok &= isinstance(oc.test_membership(cone, theta, inside, psi, cfg), oc.NotRejected)
-    below = sp.dual(inside.coords.copy())
-    bc = below.coords.copy()
+    bc = inside.coords.copy()
     bc[0] = -0.4
     ok &= isinstance(
         oc.test_membership(cone, theta, sp.dual(bc), psi, cfg), oc.RejectedWithWitness
@@ -982,9 +988,9 @@ def run_suite(spec: SuiteSpec) -> Report:
     cases = []
     for name in names:
         suite = SUITES[name]
-        ops.update(suite.ops)
         if spec.case_filter not in (None, *(case.id for case in suite.cases)):
             continue
+        ops.update(suite.ops)
         env = _env(spec, suite)
         for case in suite.cases:
             if case.when is None or case.when(env):
@@ -996,7 +1002,7 @@ def run_suite(spec: SuiteSpec) -> Report:
                 result = _result(spec, case, *outcome)
                 if spec.case_filter in (None, case.id):
                     cases.append(result)
-    summary = build_summary(cases, ops, ALL_OPS if spec.suite == "all" else ops)
+    summary = build_summary(cases, ops, ALL_OPS)
     return Report(
         suite=spec.suite,
         timestamp=datetime.now(timezone.utc).isoformat(),

@@ -308,11 +308,40 @@ class TestCone:
         m = pc.cone_theta_member(sp.primal([0.0, -1.0]), sp.dual([-1.0, 0.0]))
         assert m.verdict is NOT_MEMBER
 
-    def test_strictly_negative_coordinate_is_flagged(self):
+    def test_negative_dual_at_a_negative_coordinate_is_a_member(self):
+        # The projection is locally 0 in a strictly negative coordinate, so
+        # the box there is {0} whatever the query; the oracle agrees.
         sp = pc.SpaceConfig(n=2, p=2.0)
-        m = pc.cone_theta_member(sp.primal([-1.0, 1.0]), sp.dual([-1.0, 0.0]))
+        f, phi = sp.primal([-1.0, 1.0]), sp.dual([-1.0, 0.0])
+        m = pc.cone_theta_member(f, phi)
+        assert m.verdict is MEMBER
+        assert [c.name for c in m.certificates] == ["no sign conflicts on any coordinate"]
+        sampled = pc.test_membership(pc.PositiveCone(), f, sp.zero_dual(), phi)
+        assert isinstance(sampled, pc.NotRejected)
+
+    def test_one_certificate_per_conflict_in_ascending_order(self):
+        sp = pc.SpaceConfig(n=5, p=3.0)
+        m = pc.cone_theta_member(sp.primal([0.0, 2.0, -1.0, 0.0, 0.5]),
+                                 sp.dual([-0.3, 0.0, -1.0, 0.4, -0.7]))
         assert m.verdict is NOT_MEMBER
-        assert any("invisible to vanishing perturbations" in c.name for c in m.certificates)
+        assert [(c.name, c.holds, c.slack) for c in m.certificates] == [
+            ("coordinate 0: dual is negative where the point is zero", False, 0.3),
+            ("coordinate 4: dual is nonzero where the point is positive", False, 0.5),
+        ]
+
+    def test_member_iff_every_coordinate_interval_holds_zero(self, rng):
+        # Reference: the box written out one coordinate interval at a time;
+        # [0, phi_i] with phi_i < 0 is empty and holds nothing.
+        sp = pc.SpaceConfig(n=6, p=3.0)
+        for _ in range(200):
+            f = rng.choice([-1.0, 0.0, 1.0], 6) * rng.uniform(0.1, 3.0, 6)
+            phi = rng.choice([-1.0, 0.0, 1.0], 6) * rng.uniform(0.1, 3.0, 6)
+            member = True
+            for fi, yi in zip(f, phi):
+                lo, hi = (yi, yi) if fi > 0 else (0.0, 0.0) if fi < 0 else (0.0, yi)
+                member &= lo <= 0.0 <= hi
+            verdict = pc.cone_theta_member(sp.primal(f), sp.dual(phi)).verdict
+            assert (verdict is MEMBER) == member
 
     def test_duality_image_membership_for_nonnegative_points(self, rng):
         sp = pc.SpaceConfig(n=4, p=3.0)

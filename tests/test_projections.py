@@ -41,6 +41,17 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             pc.Cylinder(1.0, frozenset())
 
+    @pytest.mark.parametrize("mask", [{0.5}, {1.0}, "01", 3], ids=["half", "float", "str", "int"])
+    def test_mask_entries_must_be_integers(self, mask):
+        with pytest.raises(pc.InvalidSetError, match="integer indices"):
+            pc.Cylinder(1.0, mask)
+        with pytest.raises(pc.InvalidSetError, match="integer indices"):
+            pc.CoordSubspace(mask)
+
+    def test_integer_like_mask_entries_become_ints(self):
+        mask = pc.Cylinder(1.0, {np.int64(2), 0}).mask
+        assert mask == {0, 2} and all(type(i) is int for i in mask)
+
     def test_mask_indices_checked_against_dimension(self):
         sp = pc.SpaceConfig(n=3, p=2.0)
         with pytest.raises(pc.DimensionMismatchError):

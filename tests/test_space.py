@@ -32,6 +32,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             pc.SpaceConfig(n=2, p=2.0, weights=[1.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n": 2, "p": 11.0},
+            {"n": 2, "p": 1.0},
+            {"n": 2, "p": math.nan},
+            {"n": 0, "p": 2.0},
+            {"n": 2.5, "p": 2.0},
+            {"n": 2.0, "p": 2.0},
+            {"n": 2, "p": 2.0, "weights": [1.0, 0.0]},
+            {"n": 2, "p": 2.0, "weights": [1.0, -1.0]},
+            {"n": 2, "p": 2.0, "weights": [1.0, math.inf]},
+            {"n": 2, "p": 2.0, "weights": [1.0, math.nan]},
+        ],
+        ids=["p-high", "p-low", "p-nan", "n-zero", "n-fraction", "n-float", "w-zero",
+             "w-negative", "w-inf", "w-nan"],
+    )
+    def test_invalid_parameters_raise_a_typed_error(self, kwargs):
+        with pytest.raises(pc.InvalidSpaceError):
+            pc.SpaceConfig(**kwargs)
+
+    def test_wrong_weight_shape_is_a_dimension_mismatch(self):
+        with pytest.raises(pc.DimensionMismatchError):
+            pc.SpaceConfig(n=2, p=2.0, weights=[1.0, 1.0, 1.0])
+
     def test_rejects_inconsistent_conjugate(self):
         # q is derived from p and cannot be passed, so no pair can disagree.
         with pytest.raises(TypeError):

@@ -1,4 +1,5 @@
-"""The suite table: parameter validation and `--case` replay."""
+"""The suite table: parameter validation, `--case` replay and declared
+coverage."""
 
 import json
 import math
@@ -7,7 +8,7 @@ import shlex
 import pytest
 
 from projcalc.cli import main
-from projcalc.suites import SuiteSpec
+from projcalc.suites import ALL_OPS, SUITES, SuiteSpec, run_suite
 
 
 class TestSpecValidation:
@@ -44,3 +45,20 @@ def test_every_repro_line_reproduces_its_case(tmp_path, capsys):
         for key in ("id", "status", "metrics", "witness", "property", "repro"):
             assert got[key] == case[key], (case["id"], key)
     capsys.readouterr()
+
+
+class TestCoverage:
+    # Only a full run covers every op; a partial run counts only the suites
+    # that ran and compares them with ALL_OPS.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"suite": "space-identities"}, {"suite": "all", "case_filter": "space/sign-parity"}],
+        ids=["one-suite", "all-with-case"],
+    )
+    def test_partial_run_is_incomplete(self, kwargs):
+        summary = run_suite(SuiteSpec(samples=10, **kwargs)).summary
+        covered = {"run_suite", *SUITES["space-identities"].ops}
+        assert summary["ops_covered"] == sorted(covered)
+        assert summary["ops_missing"] == sorted(ALL_OPS - covered)
+        assert summary["ops_missing"]
+        assert summary["coverage_complete"] is False

@@ -8,7 +8,8 @@ two runs at radii where some cases raise, ``--samples 10 --r 1e-170`` and
 ``--r 1e170``; both exit 1 by design, so they are counted apart from the
 grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
 commands in both trees and compares their exit code, stdout and stderr.
-Prints every pair that differs, and exits 1 if any does.
+Prints every pair that differs, and exits 1 if any does. Last, prints the
+line count of ``src/projcalc/*.py`` in both trees.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -34,8 +35,10 @@ GRID = list(
 # where a deleted or moved ``raise`` would show.
 RAISING_RUNS = [["--samples", "10", "--r", "1e-170"], ["--samples", "10", "--r", "1e170"]]
 
-# The README examples; an oracle query for each set; a boundary witness for
-# each set; and a witness at an interior point, which is an error.
+# The README examples; an oracle query for each set; a cone query with a
+# negative dual at a negative coordinate, where theta* is a member; a
+# boundary witness for each set; and a witness at an interior point, which
+# is an error.
 COMMANDS = [
     ["oracle", "--set", "ball", "--point", "[1, 0]", "--xstar", "[0, 0]", "--ystar", "[0, 1]",
      "--p", "2.0"],
@@ -46,11 +49,17 @@ COMMANDS = [
      "--xstar", "[0, 0]", "--ystar", "[-1, 0.3]"],
     ["oracle", "--set", "cone", "--p", "1.5", "--point", "[1, -0.5]", "--xstar", "[0, 0]",
      "--ystar", "[1, 1]"],
+    ["oracle", "--set", "cone", "--p", "3", "--point", "[-1, 1, 0.5]", "--xstar", "[0, 0, 0]",
+     "--ystar", "[-1, 0, 0]"],
     ["witness", "--set", "ball", "--p", "3", "--point", "[1, 0]"],
     ["witness", "--set", "cylinder", "--p", "3", "--mask", "0", "--point", "[1, 2]"],
     ["witness", "--set", "cone", "--p", "3", "--point", "[0, -1, 2]"],
     ["witness", "--set", "ball", "--point", "[0.5, 0]"],
 ]
+
+
+def _src_lines(tree: Path) -> int:
+    return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "projcalc").glob("*.py"))
 
 
 def _cli(tree: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -102,6 +111,7 @@ def main(argv=None) -> int:
                 for what, x, y in zip(("exit", "stdout", "stderr"), a, b):
                     if x != y:
                         print(f"  {what} at {args.against}: {x!r}\n  {what} here: {y!r}")
+        old_lines = _src_lines(Path(tmp))
     differ = sum(d for d, _ in grid)
     raising_differ = sum(d for d, _ in raising)
     print(f"{len(GRID) - differ}/{len(GRID)} reports identical; "
@@ -109,6 +119,7 @@ def main(argv=None) -> int:
     print(f"{len(RAISING_RUNS) - raising_differ}/{len(RAISING_RUNS)} raising-case runs "
           f"identical; {sum(f for _, f in raising)} with a nonzero exit (each exits 1 by design)")
     print(f"{len(COMMANDS) - cli_differ}/{len(COMMANDS)} CLI commands identical")
+    print(f"src/projcalc/*.py: {old_lines} lines at {args.against}, {_src_lines(ROOT)} here")
     return 1 if differ or raising_differ or cli_differ else 0
 
 
