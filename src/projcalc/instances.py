@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError, UnsupportedSetError
 from .projections import Ball, ConvexSet, CoordSubspace, Cylinder, PositiveCone, mask_restrict
 from .projections import _mask_array, _masked_norm, _radial
 from .space import PrimalPoint, SpaceConfig
@@ -30,7 +31,7 @@ def make_weights(n: int, mode: str, rng: np.random.Generator) -> np.ndarray:
         return np.ones(n)
     if mode == "random":
         return rng.uniform(0.5, 2.0, size=n)
-    raise ValueError(f"unknown weights mode {mode!r}")
+    raise PreconditionError(f"unknown weights mode {mode!r}")
 
 
 def pick_mask(n: int, density: float, rng: np.random.Generator) -> frozenset[int]:
@@ -81,6 +82,8 @@ def gen_instance(
     subspace, "interior" is a point of the subspace and "exterior" one with
     a nonzero complement part.
     """
+    if kind not in _KIND_CODES or regime not in _REGIME_CODES:
+        raise PreconditionError(f"unknown instance kind {kind!r} or regime {regime!r}")
     rng = _rng(seed, kind, regime)
     space = SpaceConfig(n=n, p=p, weights=make_weights(n, weights_mode, rng))
 
@@ -102,7 +105,7 @@ def gen_instance(
             coords = mags.copy()
             neg = rng.choice(n, size=max(1, n // 3), replace=False)
             coords[neg] *= -1.0
-        elif regime == "boundary":
+        else:  # boundary
             coords = mags.copy()
             idx = rng.permutation(n)
             zeros = idx[: max(1, n // 3)]
@@ -110,19 +113,14 @@ def gen_instance(
             if n >= 3:
                 negs = idx[max(1, n // 3) : max(1, n // 3) + max(1, n // 4)]
                 coords[negs] *= -1.0
-        else:
-            raise ValueError(f"unknown regime {regime!r}")
         return space, set_, space.primal(coords)
 
-    if kind == "subspace":
-        mask = pick_mask(n, mask_density, rng)
-        set_ = CoordSubspace(mask=mask)
-        x = space.primal(_masked_draw(space, np.ones(n, dtype=bool), rng))
-        if regime in ("interior", "boundary"):
-            x = mask_restrict(x, mask)
-        return space, set_, x
-
-    raise ValueError(f"unknown instance kind {kind!r}")
+    mask = pick_mask(n, mask_density, rng)  # subspace
+    set_ = CoordSubspace(mask=mask)
+    x = space.primal(_masked_draw(space, np.ones(n, dtype=bool), rng))
+    if regime in ("interior", "boundary"):
+        x = mask_restrict(x, mask)
+    return space, set_, x
 
 
 def _target_norm(regime: str, r: float, rng: np.random.Generator) -> float:
@@ -130,42 +128,36 @@ def _target_norm(regime: str, r: float, rng: np.random.Generator) -> float:
         return r * rng.uniform(0.2, 0.8)
     if regime == "boundary":
         return r
-    if regime == "exterior":
-        return r * (1.1 + rng.uniform(0.0, 1.0))
-    raise ValueError(f"unknown regime {regime!r}")
+    return r * (1.1 + rng.uniform(0.0, 1.0))  # exterior
 
 
 def sample_in_set(
     set_: ConvexSet, space: SpaceConfig, rng: np.random.Generator, count: int
 ) -> list[PrimalPoint]:
-    """``count`` feasible competitor samples, one generator per set variant.
+    """``count`` feasible competitor samples, drawn as one (count, n) block.
 
-    The draws keep one seeded order: row by row, ``standard_normal(n)``, and
-    for a ball or cylinder a ``uniform`` radius fraction only when the
-    row's masked norm exceeds ``theta_tol`` (a row whose masked part is
-    numerically zero keeps its unmasked part and is not rescaled). The
-    rows are then rescaled, or made nonnegative or restricted to the
-    subspace, as one (count, n) block.
+    Every set draws one ``standard_normal((count, n))`` block. A ball or
+    cylinder then draws one ``uniform(0, 1, count)`` block of radius
+    fractions and rescales each row's masked part to norm ``r * u``; a row
+    whose masked norm is at most ``theta_tol`` keeps its unmasked part and
+    gets a zero masked part. The cone takes absolute values, the subspace
+    zeroes the complement.
     """
+    if count < 0:
+        raise PreconditionError(f"the number of samples must be nonnegative, got {count}")
     n = space.n
-    if isinstance(set_, (Ball, Cylinder)):
-        r, sel = _radial(set_, n)
-        rows, scales = [], []
-        for _ in range(count):
-            v = rng.standard_normal(n)
-            nrm = _masked_norm(space, sel, v)
-            if nrm > space.theta_tol:
-                scales.append(r * rng.uniform(0.0, 1.0) / nrm)
-            else:
-                v = np.where(sel, 0.0, v)
-                scales.append(0.0)
-            rows.append(v)
-        block = np.array(rows).reshape(count, n)
-        coords = np.where(sel, np.array(scales)[:, np.newaxis] * block, block)
-    elif isinstance(set_, PositiveCone):
+    if isinstance(set_, PositiveCone):
         coords = np.abs(rng.standard_normal((count, n)))
     elif isinstance(set_, CoordSubspace):
         coords = np.where(_mask_array(set_.mask, n), rng.standard_normal((count, n)), 0.0)
+    elif not isinstance(set_, (Ball, Cylinder)):
+        raise UnsupportedSetError(f"unknown set variant {set_!r}")
     else:
-        raise ValueError(f"unknown set variant {set_!r}")
+        r, sel = _radial(set_, n)
+        block = rng.standard_normal((count, n))
+        fracs = rng.uniform(0.0, 1.0, count)
+        nrm = _masked_norm(space, sel, block)
+        live = nrm > space.theta_tol
+        scaled = (r * fracs / np.where(live, nrm, 1.0))[:, np.newaxis] * block
+        coords = np.where(sel, np.where(live[:, np.newaxis], scaled, 0.0), block)
     return [PrimalPoint(c, space) for c in coords]

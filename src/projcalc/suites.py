@@ -62,11 +62,13 @@ ALL_OPS = {
     "coderiv_ball",
     "sphere_theta_member",
     "coderiv_cylinder",
+    "cylinder_theta_member",
     "cone_theta_member",
     "cone_jf_member",
     "cone_interval_at_origin",
     "interval_contains",
     "coderiv_quotient",
+    "quotient_denominator_pair",
     "test_membership",
     "run_suite",
     "gen_instance",
@@ -942,7 +944,7 @@ SUITES = {
     ),
     "coderiv-cylinder": Suite(
         tag=6,
-        ops=("coderiv_cylinder", "frechet_apply"),
+        ops=("coderiv_cylinder", "cylinder_theta_member", "frechet_apply"),
         cases=(_cylinder_adjoint_identity, _cylinder_boundary_iff, _full_mask_reduces_to_ball),
     ),
     "coderiv-cone": Suite(
@@ -954,7 +956,9 @@ SUITES = {
     ),
     "oracle-crosscheck": Suite(
         tag=8,
-        ops=("coderiv_quotient", "test_membership", "coderiv_ball", "coderiv_cylinder"),
+        ops=("coderiv_quotient", "quotient_denominator_pair", "test_membership", "coderiv_ball",
+             "coderiv_cylinder", "sphere_theta_member", "cylinder_theta_member",
+             "cone_theta_member"),
         cases=(_denominator_equivalence, _singleton_soundness, _empty_fiber_rejection,
                _theta_membership_grid, _cone_crosscheck),
     ),

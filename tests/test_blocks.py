@@ -3,9 +3,10 @@
 Competitor sampling, the variational residual, finite differences, the
 nonsmoothness witness and the oracle's structured probes each run one array
 pass over a block of rows. The reference functions below are the earlier
-per-point loops, kept verbatim in terms of typed points; every block result
-must equal them bit for bit, and the sampler must leave the generator in the
-same state.
+per-point loops, kept verbatim in terms of typed points; the sampler's
+reference draws the same blocks and rescales one typed point at a time.
+Every block result must equal them bit for bit, and the sampler must leave
+the generator in the same state.
 """
 
 import numpy as np
@@ -27,21 +28,18 @@ SET_KINDS = ["ball", "cylinder", "full-cylinder", "cone", "subspace"]
 
 
 def _ref_sample_in_set(set_, space, rng, count):
+    block = rng.standard_normal((count, space.n))
+    if isinstance(set_, pc.PositiveCone):
+        return [space.primal(np.abs(v)) for v in block]
+    if isinstance(set_, pc.CoordSubspace):
+        return [pc.mask_restrict(space.primal(v), set_.mask) for v in block]
+    r, sel = _radial(set_, space.n)
     out = []
-    radial = isinstance(set_, (pc.Ball, pc.Cylinder))
-    if radial:
-        r, sel = _radial(set_, space.n)
-    for _ in range(count):
-        v = rng.standard_normal(space.n)
-        if radial:
-            if _masked_norm(space, sel, v) <= space.theta_tol:
-                out.append(space.primal(np.where(sel, 0.0, v)))
-                continue
-            out.append(_rescale_masked(space, sel, v, r * rng.uniform(0.0, 1.0)))
-        elif isinstance(set_, pc.PositiveCone):
-            out.append(space.primal(np.abs(v)))
-        elif isinstance(set_, pc.CoordSubspace):
-            out.append(pc.mask_restrict(space.primal(v), set_.mask))
+    for v, u in zip(block, rng.uniform(0.0, 1.0, count)):
+        if _masked_norm(space, sel, v) <= space.theta_tol:
+            out.append(space.primal(np.where(sel, 0.0, v)))
+        else:
+            out.append(_rescale_masked(space, sel, v, r * u))
     return out
 
 
@@ -298,24 +296,23 @@ def test_sample_in_set_of_zero_competitors_is_empty(kind):
 
 
 class _ZeroMaskedRow:
-    """A generator whose second normal row has a zero masked part."""
+    """A generator whose normal block has a zero masked part in row 1."""
 
     def __init__(self, seed, sel):
         self._rng = np.random.default_rng(seed)
         self._sel = sel
-        self._calls = 0
 
-    def standard_normal(self, n):
-        self._calls += 1
-        v = self._rng.standard_normal(n)
-        return np.where(self._sel, 0.0, v) if self._calls == 2 else v
+    def standard_normal(self, size):
+        block = self._rng.standard_normal(size)
+        block[1] = np.where(self._sel, 0.0, block[1])
+        return block
 
-    def uniform(self, lo, hi):
-        return self._rng.uniform(lo, hi)
+    def uniform(self, lo, hi, size):
+        return self._rng.uniform(lo, hi, size)
 
 
 @pytest.mark.parametrize("kind", ["ball", "cylinder"])
-def test_sample_row_with_zero_masked_part_skips_the_radius_draw(kind):
+def test_sample_row_with_zero_masked_part_keeps_only_its_unmasked_part(kind):
     sp, set_ = _space(3.0, "random", 5), _make_set(kind)
     sel = _radial(set_, sp.n)[1]
     got_rng, ref_rng = _ZeroMaskedRow(9, sel), _ZeroMaskedRow(9, sel)

@@ -1,9 +1,10 @@
 """Deterministic instance generation."""
 
 import numpy as np
+import pytest
 
 import projcalc as pc
-from projcalc.instances import gen_instance
+from projcalc.instances import gen_instance, make_weights, sample_in_set
 
 
 def test_boundary_ball_is_exact():
@@ -44,3 +45,37 @@ def test_subspace_regimes():
     assert pc.set_contains(sub, inside)
     _, sub, outside = gen_instance("subspace", "exterior", 5)
     assert not pc.set_contains(sub, outside)
+
+
+@pytest.mark.parametrize("kind, regime", [("ball", "bogus"), ("bogus", "interior")])
+def test_unknown_kind_or_regime_is_a_precondition_error(kind, regime):
+    with pytest.raises(pc.PreconditionError, match="unknown instance kind"):
+        gen_instance(kind, regime, 0)
+
+
+def test_unknown_weights_mode_is_a_precondition_error():
+    with pytest.raises(pc.PreconditionError, match="unknown weights mode"):
+        make_weights(4, "bogus", np.random.default_rng(0))
+
+
+SAMPLED_SETS = [
+    pc.Ball(1.0),
+    pc.Cylinder(1.0, frozenset({0})),
+    pc.PositiveCone(),
+    pc.CoordSubspace(frozenset({1})),
+]
+
+
+@pytest.mark.parametrize("set_", SAMPLED_SETS, ids=lambda s: type(s).__name__)
+def test_negative_sample_count_is_a_precondition_error(set_):
+    rng = np.random.default_rng(3)
+    with pytest.raises(pc.PreconditionError, match="nonnegative"):
+        sample_in_set(set_, pc.SpaceConfig(n=3, p=2.0), rng, -1)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def test_unknown_set_is_an_unsupported_set_error():
+    rng = np.random.default_rng(3)
+    with pytest.raises(pc.UnsupportedSetError, match="unknown set variant"):
+        sample_in_set(object(), pc.SpaceConfig(n=3, p=2.0), rng, 2)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state

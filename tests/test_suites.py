@@ -62,3 +62,14 @@ class TestCoverage:
         assert summary["ops_missing"] == sorted(ALL_OPS - covered)
         assert summary["ops_missing"]
         assert summary["coverage_complete"] is False
+
+    def test_oracle_crosscheck_declares_the_verdict_ops_its_cases_call(self):
+        summary = run_suite(SuiteSpec("oracle-crosscheck", samples=10)).summary
+        called = {"sphere_theta_member", "cylinder_theta_member", "cone_theta_member",
+                  "quotient_denominator_pair"}
+        assert called <= set(summary["ops_covered"])
+        assert called <= ALL_OPS
+
+    def test_coderiv_cylinder_declares_its_theta_verdict(self):
+        summary = run_suite(SuiteSpec("coderiv-cylinder", samples=10)).summary
+        assert "cylinder_theta_member" in summary["ops_covered"]

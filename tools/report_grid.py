@@ -8,8 +8,10 @@ two runs at radii where some cases raise, ``--samples 10 --r 1e-170`` and
 ``--r 1e170``; both exit 1 by design, so they are counted apart from the
 grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
 commands in both trees and compares their exit code, stdout and stderr.
-Prints every pair that differs, and exits 1 if any does. Last, prints the
-line count of ``src/projcalc/*.py`` in both trees.
+Prints every pair that differs, and exits 1 if any does. After the totals,
+names each case whose status, metrics, witness or error differs in any
+report, with the number of runs in which it differs, and counts the status
+changes. Last, prints the line count of ``src/projcalc/*.py`` in both trees.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -17,8 +19,10 @@ line count of ``src/projcalc/*.py`` in both trees.
 from __future__ import annotations
 
 import argparse
+import collections
 import difflib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -30,6 +34,10 @@ from bench_pairs import ROOT, _export
 GRID = list(
     itertools.product((0, 7, 123), ("1.5", "2", "3", "7"), ("ones", "random"), (32, 100))
 )
+
+# The fields of a report case that count as a change; ``repro`` and
+# ``property`` only restate the configuration and the case.
+CASE_FIELDS = ("status", "metrics", "witness", "error")
 
 # Runs in which some cases raise a ProjcalcError and are recorded as failed:
 # where a deleted or moved ``raise`` would show.
@@ -79,18 +87,32 @@ def _run(tree: Path, args: list[str]) -> tuple[int, str]:
     return code, "".join(ln for ln in lines if not ln.startswith('  "timestamp": '))
 
 
-def _compare(old: Path, rev: str, run_args: list[str]) -> tuple[bool, bool]:
-    """Whether the run differs between REV's tree and this one, and whether
-    either exits nonzero; prints the diff of a differing pair."""
+def _cases(text: str) -> dict[str, dict]:
+    """A report's cases by id, each reduced to the fields a change may move."""
+    cases = json.loads(text)["cases"] if text else []
+    return {c["id"]: {k: c.get(k) for k in CASE_FIELDS} for c in cases}
+
+
+def _compare(old: Path, rev: str, run_args: list[str]) -> tuple[bool, bool, set[str], int]:
+    """Whether the run differs between REV's tree and this one, whether
+    either exits nonzero, the ids of the cases that differ and the number
+    of them whose status changed; prints the diff of a differing pair."""
     (code_a, text_a), (code_b, text_b) = _run(old, run_args), _run(ROOT, run_args)
     differs = (code_a, text_a) != (code_b, text_b)
+    cases_a, cases_b = _cases(text_a), _cases(text_b)
+    changed = {cid for cid in cases_a.keys() | cases_b.keys()
+               if cases_a.get(cid) != cases_b.get(cid)}
+    status_changes = sum(
+        (cases_a.get(cid) or {}).get("status") != (cases_b.get(cid) or {}).get("status")
+        for cid in changed
+    )
     if differs:
         print(f"DIFFERS: run {' '.join(run_args)}: exit {code_a} at {rev}, {code_b} here")
         sys.stdout.writelines(
             difflib.unified_diff(text_a.splitlines(keepends=True),
                                  text_b.splitlines(keepends=True), rev, "working tree")
         )
-    return differs, code_a != 0 or code_b != 0
+    return differs, code_a != 0 or code_b != 0, changed, status_changes
 
 
 def main(argv=None) -> int:
@@ -112,13 +134,18 @@ def main(argv=None) -> int:
                     if x != y:
                         print(f"  {what} at {args.against}: {x!r}\n  {what} here: {y!r}")
         old_lines = _src_lines(Path(tmp))
-    differ = sum(d for d, _ in grid)
-    raising_differ = sum(d for d, _ in raising)
+    differ = sum(r[0] for r in grid)
+    raising_differ = sum(r[0] for r in raising)
     print(f"{len(GRID) - differ}/{len(GRID)} reports identical; "
-          f"{sum(f for _, f in grid)} grid points with a nonzero exit")
+          f"{sum(r[1] for r in grid)} grid points with a nonzero exit")
     print(f"{len(RAISING_RUNS) - raising_differ}/{len(RAISING_RUNS)} raising-case runs "
-          f"identical; {sum(f for _, f in raising)} with a nonzero exit (each exits 1 by design)")
+          f"identical; {sum(r[1] for r in raising)} with a nonzero exit (each exits 1 by design)")
     print(f"{len(COMMANDS) - cli_differ}/{len(COMMANDS)} CLI commands identical")
+    runs = grid + raising
+    tally = collections.Counter(cid for r in runs for cid in r[2])
+    for cid, count in sorted(tally.items()):
+        print(f"  case {cid} differs in {count}/{len(runs)} runs")
+    print(f"{sum(r[3] for r in runs)} case status changes over {len(runs)} runs")
     print(f"src/projcalc/*.py: {old_lines} lines at {args.against}, {_src_lines(ROOT)} here")
     return 1 if differ or raising_differ or cli_differ else 0
 
