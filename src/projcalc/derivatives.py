@@ -94,26 +94,20 @@ class Witness:
 def classify_direction(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> DirectionClass:
     """Up/down classification of a nonzero direction at a boundary point,
     by the slope psi(xbar_M, v_M) of the masked norm."""
-    _expect(xbar.space, PrimalPoint, xbar, v)
+    sp = xbar.space
+    _expect(sp, PrimalPoint, xbar, v)
     _, sel, xm, nrm, kind = _region(set_, xbar)
     if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
-    return _direction(xbar.space, sel, xm, nrm, v.coords)
-
-
-def _direction(sp, sel: np.ndarray, xm: np.ndarray, nrm: float, v: np.ndarray) -> DirectionClass:
-    """``classify_direction`` of the direction coordinates v at a boundary
-    point whose masked part xm has norm nrm."""
-    if _norm(v, sp.weights, sp.p) <= sp.theta_tol:
+    if _norm(v.coords, sp.weights, sp.p) <= sp.theta_tol:
         raise DegenerateInputError("directions must be nonzero")
-    vm = np.where(sel, v, 0.0)
+    vm = np.where(sel, v.coords, 0.0)
     if _norm(vm, sp.weights, sp.p) <= sp.theta_tol:
         # The masked norm stays exactly r, hence never exceeds it.
         return DirectionClass(kind=DirectionKind.DOWN, slope=0.0)
-    if nrm <= sp.theta_tol:
-        raise DegenerateInputError("smoothness functional is undefined at the origin")
-    # psi(xm, vm) = <J(xm), vm>/||xm||, as ``space.smoothness`` evaluates it.
-    d = _pair(sp.weights, _duality(xm, sp.p, nrm, sp.theta_tol), vm) / nrm
+    # psi(xm, vm) = <J(xm), vm>/||xm||, as ``space.smoothness`` evaluates it;
+    # ||xm|| is about r > 0 on the boundary, so J needs no cutoff.
+    d = _pair(sp.weights, _duality(xm, sp.p, nrm, 0.0), vm) / nrm
     kind = DirectionKind.DOWN if d < 0.0 else DirectionKind.UP
     return DirectionClass(kind=kind, slope=d)
 
@@ -130,7 +124,7 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
         return v
     sp = xbar.space
     vm = np.where(sel, v.coords, 0.0)
-    a = _pair(sp.weights, _duality(xm, sp.p, nrm, sp.theta_tol), vm) / nrm**2
+    a = _pair(sp.weights, _duality(xm, sp.p, nrm, 0.0), vm) / nrm**2
     return sp.primal(np.where(sel, (r / nrm) * (v.coords - a * xbar.coords), v.coords))
 
 

@@ -110,7 +110,7 @@ class TestSphereMembership:
             assert m.verdict is MEMBER
 
     def test_p3_half_multiple_member(self):
-        # <y*, x> = -0.5 = -r |y*|_q and the reflected candidate points out
+        # y* = -0.5 J(x): lambda = 0.5 and theta* is the upper end of the segment
         sp = pc.SpaceConfig(n=2, p=3.0)
         m = pc.sphere_theta_member(1.0, sp.primal([1.0, 0.0]), sp.dual([-0.5, 0.0]))
         assert m.verdict is MEMBER
@@ -289,6 +289,67 @@ class TestCylinder:
                     assert gap <= 1e-10 * max(1.0, pc.norm_dual(a.value))
                 elif isinstance(a, pc.ThetaMembership):
                     assert a.verdict is b.verdict
+
+
+def _boundary_and_unit_g(sp, set_, rng):
+    """A boundary point of ``set_`` and J(xbar_M)/||xbar_M||, taken at unit
+    scale so that no cutoff of a tiny radius touches it."""
+    xb = point_at_norm(sp, set_, rng, set_.r)
+    mask = set_.mask if isinstance(set_, pc.Cylinder) else frozenset(range(sp.n))
+    return xb, pc.duality_map(pc.mask_restrict((1.0 / set_.r) * xb, mask))
+
+
+def _theta_member(set_, xb, ys):
+    if isinstance(set_, pc.Ball):
+        return pc.sphere_theta_member(set_.r, xb, ys)
+    return pc.cylinder_theta_member(set_.r, set_.mask, xb, ys)
+
+
+def _radial_set(kind, r):
+    return pc.Ball(r) if kind == "ball" else pc.Cylinder(r, frozenset({0, 2, 3}))
+
+
+class TestSegmentVerdict:
+    """theta* is the upper end of the boundary fiber segment
+    {y* + t J(xbar_M) : 0 <= t <= lambda}."""
+
+    @pytest.mark.parametrize("r", [1e-20, 1e-5, 1.0, 1e20])
+    @pytest.mark.parametrize("kind", ["ball", "cylinder"])
+    def test_verdicts_are_scale_free(self, kind, r, rng):
+        set_ = _radial_set(kind, r)
+        for p in P_GRID:
+            sp = pc.SpaceConfig(n=5, p=p)
+            xb, g = _boundary_and_unit_g(sp, set_, rng)
+            for c in (0.5, 1.0, 2.0):
+                assert _theta_member(set_, xb, -c * g).verdict is MEMBER
+                assert _theta_member(set_, xb, c * g).verdict is NOT_MEMBER
+            for _ in range(5):
+                ys = random_dual(sp, rng)
+                ys = (1.0 / pc.norm_dual(ys)) * ys
+                assert _theta_member(set_, xb, ys).verdict is NOT_MEMBER
+
+    @pytest.mark.parametrize("kind", ["ball", "cylinder"])
+    def test_verdict_is_the_conjunction_of_its_certificates(self, kind, rng):
+        set_ = _radial_set(kind, 1.0)
+        for p in P_GRID:
+            sp = pc.SpaceConfig(n=5, p=p, weights=rng.uniform(0.5, 2.0, 5))
+            xb, g = _boundary_and_unit_g(sp, set_, rng)
+            for k in range(-12, -1):
+                for _ in range(3):
+                    m = _theta_member(set_, xb, -1.0 * g + 10.0**k * random_dual(sp, rng))
+                    assert (m.verdict is MEMBER) == all(c.holds for c in m.certificates)
+
+    @pytest.mark.parametrize("r", [1e-5, 1.0])
+    def test_duality_image_match_is_relative(self, r, rng):
+        # J(xbar) + 1e-8 ||J(xbar)|| v is no longer J(xbar) at any radius.
+        for p in P_GRID:
+            sp = pc.SpaceConfig(n=4, p=p)
+            xb = point_at_norm(sp, pc.Ball(r), rng, r)
+            jx = pc.duality_map(xb)
+            assert isinstance(pc.coderiv_ball(r, xb, jx), pc.EmptyFiber)
+            v = random_dual(sp, rng)
+            near = jx + (1e-8 * pc.norm_dual(jx) / pc.norm_dual(v)) * v
+            assert isinstance(pc.coderiv_ball(r, xb, near), pc.ThetaMembership)
 
 
 class TestCone:

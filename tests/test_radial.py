@@ -3,6 +3,8 @@ typed errors for non-finite input."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import projcalc as pc
 
@@ -110,6 +112,42 @@ def test_one_boundary_rule(set_, p):
                 pc.frechet_apply(set_, x, v)
         else:
             pc.frechet_apply(set_, x, v)
+
+
+def _rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@given(k=st.integers(-20, 20), p=st.sampled_from(P_GRID))
+@example(k=-20, p=3.0)
+@settings(max_examples=60, deadline=None)
+def test_radial_kernels_are_positively_homogeneous(k, p):
+    # Scaling the radius and the point by lam = 10^k leaves the derivative,
+    # the exterior fiber and the direction classification unchanged.
+    lam = 10.0**k
+    sp = pc.SpaceConfig(n=4, p=p, weights=[0.5, 1.0, 1.5, 2.0])
+    base = np.array([1.5, -0.7, 0.3, 0.9])
+    v, ys = sp.primal([0.2, 1.0, -0.4, 0.6]), sp.dual([-0.3, 0.8, 0.5, -1.1])
+    for mask in (frozenset(range(4)), frozenset({0, 1, 3})):
+        sel = np.isin(np.arange(4), sorted(mask))
+        unit = base / pc.norm_primal(sp.primal(np.where(sel, base, 0.0)))
+        outside, edge = np.where(sel, 2.0 * unit, base), np.where(sel, unit, base)
+        results = []
+        for scale in (1.0, lam):
+            set_ = pc.Ball(scale) if len(mask) == 4 else pc.Cylinder(scale, mask)
+            x_out = sp.primal(np.where(sel, scale * outside, outside))
+            x_edge = sp.primal(np.where(sel, scale * edge, edge))
+            if isinstance(set_, pc.Ball):
+                fiber = pc.coderiv_ball(scale, x_out, ys)
+            else:
+                fiber = pc.coderiv_cylinder(scale, mask, x_out, ys)
+            cls = pc.classify_direction(set_, x_edge, v)
+            results.append((pc.frechet_apply(set_, x_out, v).coords, fiber.value.coords, cls))
+        (d1, f1, c1), (d2, f2, c2) = results
+        assert _rel_gap(d2, d1) <= 1e-12
+        assert _rel_gap(f2, f1) <= 1e-12
+        assert c2.kind is c1.kind
+        assert abs(c2.slope - c1.slope) <= 1e-12 * abs(c1.slope)
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,9 @@ Runs the full suite on a fixed grid -- seeds {0, 7, 123} x p in {1.5, 2, 3, 7}
 x weights {ones, random} x samples {32, 100}, 48 runs -- once in the working
 tree and once in a ``git archive`` export of REV. Compares each run's exit
 code and its report with the timestamp line removed. Compares the same way
-two runs at radii where some cases raise, ``--samples 10 --r 1e-170`` and
-``--r 1e170``; both exit 1 by design, so they are counted apart from the
-grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
+four runs at radii where some cases raise, ``--samples 10`` with ``--r``
+1e-170, 1e-20, 1e20 and 1e170; each exits 1 by design, so they are counted
+apart from the grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
 commands in both trees and compares their exit code, stdout and stderr.
 Prints every pair that differs, and exits 1 if any does. After the totals,
 names each case whose status, metrics, witness or error differs in any
@@ -41,7 +41,7 @@ CASE_FIELDS = ("status", "metrics", "witness", "error")
 
 # Runs in which some cases raise a ProjcalcError and are recorded as failed:
 # where a deleted or moved ``raise`` would show.
-RAISING_RUNS = [["--samples", "10", "--r", "1e-170"], ["--samples", "10", "--r", "1e170"]]
+RAISING_RUNS = [["--samples", "10", "--r", r] for r in ("1e-170", "1e-20", "1e20", "1e170")]
 
 # The README examples; an oracle query for each set; a cone query with a
 # negative dual at a negative coordinate, where theta* is a member; a
