@@ -13,11 +13,13 @@ derivative, the fiber is the singleton {(grad P(xbar))^T y*}:
 On the boundary (||xb_M|| = r) the fiber degenerates: the query theta*
 yields {theta*}, the query J(xb) yields the empty set, and for any other
 query the closed forms characterize membership of theta* only. With
-g = J(xb_M) and lambda = -<y*_M, xb_M>/||xb_M||^2, the fiber of a query with
-no unmasked part is the segment {y* + t g : 0 <= t <= lambda}, empty when
-lambda < 0 (Rockafellar-Wets, Variational Analysis, Prop. 6.5). So theta*
-is a member exactly when the unmasked part of y* vanishes, lambda > 0 and
-y*_M + lambda g = 0: theta* is the upper end of the segment. For the positive cone the fiber of psi at f is a box, taken one
+g = J(xb_M) and lambda = -<y*_M, xb_M>/||xb_M||^2, the fiber is the segment
+{y* + t g : 0 <= t <= lambda}, empty when lambda < 0 (Rockafellar-Wets,
+Variational Analysis, Prop. 6.5). So theta* is a member exactly when the
+unmasked part of y* vanishes, lambda > 0 and y*_M + lambda g = 0: theta* is
+the upper end of the segment.
+
+For the positive cone the fiber of psi at f is a box, taken one
 coordinate at a time from the graph of t -> max(t, 0) (Rockafellar-Wets,
 Variational Analysis, Prop. 6.41): {psi_i} where f_i > 0, [0, psi_i] where
 f_i = 0 (empty if psi_i < 0) and {0} where f_i < 0. theta* is a member iff
@@ -115,8 +117,7 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
     ny = _norm(yc, w, sp.q)
     if ny <= sp.theta_tol:
         return Singleton(value=sp.zero_dual())
-    # ||xbar|| >= ||xbar_M|| > 0 on the boundary, so J(xbar) needs no cutoff.
-    jx = _duality(xbar.coords, sp.p, _norm(xbar.coords, w, sp.p), 0.0)
+    jx = _duality(xbar.coords, sp.p, _norm(xbar.coords, w, sp.p), sp.theta_tol)
     if _norm(yc - jx, w, sp.q) <= QUERY_MATCH_TOL * _norm(jx, w, sp.q):
         return EmptyFiber()
     return _theta_member(set_, sp, yc, region, ny)
