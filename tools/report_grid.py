@@ -6,8 +6,9 @@ tree and once in a ``git archive`` export of REV. Compares each run's exit
 code and its report with the timestamp line removed. Compares the same way
 four runs at radii where some cases raise, ``--samples 10`` with ``--r``
 1e-170, 1e-20, 1e20 and 1e170; each exits 1 by design, so they are counted
-apart from the grid. Then runs a fixed list of ``projcalc oracle`` and ``projcalc witness``
-commands in both trees and compares their exit code, stdout and stderr.
+apart from the grid. Then runs a fixed list of ``projcalc oracle`` and
+``projcalc witness`` commands in both trees and compares their exit code,
+stdout and stderr.
 Prints every pair that differs, and exits 1 if any does. After the totals,
 names each case whose status, metrics, witness or error differs in any
 report, with the number of runs in which it differs, and counts the status
