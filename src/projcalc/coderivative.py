@@ -112,12 +112,12 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
     if kind is RegionKind.EXTERIOR:
         ym = np.where(sel, yc, 0.0)
         a = _pair(w, ym, xm) / nrm**2
-        jm = _duality(xm, sp.p, nrm, 0.0)
+        jm = _duality(xm, sp.p, nrm)
         return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (yc - ym)))
     ny = _norm(yc, w, sp.q)
-    if ny <= sp.theta_tol:
+    if ny == 0.0:
         return Singleton(value=sp.zero_dual())
-    jx = _duality(xbar.coords, sp.p, _norm(xbar.coords, w, sp.p), sp.theta_tol)
+    jx = _duality(xbar.coords, sp.p, _norm(xbar.coords, w, sp.p))
     if _norm(yc - jx, w, sp.q) <= QUERY_MATCH_TOL * _norm(jx, w, sp.q):
         return EmptyFiber()
     return _theta_member(set_, sp, yc, region, ny)
@@ -136,8 +136,8 @@ def coderiv_cylinder(
 
 
 def _theta_member(set_: Ball | Cylinder, sp, yc: np.ndarray, region, ny: float) -> ThetaMembership:
-    """Theta*-membership of the query coordinates yc, of dual norm ny >
-    theta_tol, at a boundary point of a ball or cylinder, given the point's
+    """Theta*-membership of the query coordinates yc, of dual norm ny > 0,
+    at a boundary point of a ball or cylinder, given the point's
     ``projections._region``: theta* is the upper end of the segment
     {y* + t J(xbar_M) : 0 <= t <= lambda}, lambda = -<y*_M, xbar_M>/||xbar_M||^2.
 
@@ -159,7 +159,7 @@ def _theta_member(set_: Ball | Cylinder, sp, yc: np.ndarray, region, ny: float) 
         align_name = "y* is a negative multiple of J(xbar)"
     # Two divisions: ||xbar_M||^2 leaves the float range long before ||xbar_M||.
     lam = -_pair(w, ym, xm) / nxm / nxm
-    align = _norm(ym + lam * _duality(xm, sp.p, nxm, 0.0), w, sp.q)
+    align = _norm(ym + lam * _duality(xm, sp.p, nxm), w, sp.q)
     holds = lam > 0.0 and align <= ALIGNMENT_TOL * ny
     certs.append(ConditionReport(name=align_name, holds=holds, slack=align))
     verdict = Verdict.MEMBER if all(c.holds for c in certs) else Verdict.NOT_MEMBER
@@ -173,7 +173,7 @@ def _theta_entry(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> 
     if region[4] is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("theta*-membership needs a boundary point")
     ny = _norm(ystar.coords, sp.weights, sp.q)
-    if ny <= sp.theta_tol:
+    if ny == 0.0:
         raise PreconditionError("the zero query is handled by the fiber dispatch")
     return _theta_member(set_, sp, ystar.coords, region, ny)
 

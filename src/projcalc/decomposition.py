@@ -38,10 +38,10 @@ class Anchor:
         sp = xbar.space
         _expect(sp, PrimalPoint, xbar)
         nrm = _norm(xbar.coords, sp.weights, sp.p)
-        if nrm <= sp.theta_tol:
-            raise DegenerateInputError("anchor must be a nonzero point")
-        xbar_star = DualPoint(_duality(xbar.coords, sp.p, nrm, sp.theta_tol), sp)
         nsq = nrm * nrm
+        if nsq == 0.0:  # a_coef and a_star divide by nsq, which underflows first
+            raise DegenerateInputError("anchor must be a nonzero point")
+        xbar_star = DualPoint(_duality(xbar.coords, sp.p, nrm), sp)
         gap = abs(_pair(sp.weights, xbar_star.coords, xbar.coords) - nsq)
         if gap > ANCHOR_PAIRING_TOL * max(1.0, nsq):
             raise DegenerateInputError("duality pairing at the anchor is inconsistent")

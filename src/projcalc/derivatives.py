@@ -99,15 +99,13 @@ def classify_direction(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> Di
     _, sel, xm, nrm, kind = _region(set_, xbar)
     if kind is not RegionKind.BOUNDARY:
         raise NotOnBoundaryError("direction classification needs a boundary point")
-    if _norm(v.coords, sp.weights, sp.p) <= sp.theta_tol:
+    if _norm(v.coords, sp.weights, sp.p) == 0.0:
         raise DegenerateInputError("directions must be nonzero")
     vm = np.where(sel, v.coords, 0.0)
-    if _norm(vm, sp.weights, sp.p) <= sp.theta_tol:
+    if _norm(vm, sp.weights, sp.p) == 0.0:
         # The masked norm stays exactly r, hence never exceeds it.
         return DirectionClass(kind=DirectionKind.DOWN, slope=0.0)
-    # psi(xm, vm) = <J(xm), vm>/||xm||, as ``space.smoothness`` evaluates it;
-    # ||xm|| is about r > 0 on the boundary, so J needs no cutoff.
-    d = _pair(sp.weights, _duality(xm, sp.p, nrm, 0.0), vm) / nrm
+    d = _pair(sp.weights, _duality(xm, sp.p, nrm), vm) / nrm
     kind = DirectionKind.DOWN if d < 0.0 else DirectionKind.UP
     return DirectionClass(kind=kind, slope=d)
 
@@ -124,7 +122,7 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
         return v
     sp = xbar.space
     vm = np.where(sel, v.coords, 0.0)
-    a = _pair(sp.weights, _duality(xm, sp.p, nrm, 0.0), vm) / nrm**2
+    a = _pair(sp.weights, _duality(xm, sp.p, nrm), vm) / nrm**2
     return sp.primal(np.where(sel, (r / nrm) * (v.coords - a * xbar.coords), v.coords))
 
 

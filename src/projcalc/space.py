@@ -17,7 +17,9 @@ The normalized duality mapping J sends x to the unique dual vector with
 with J(0) = 0 by convention; the inverse mapping J* uses the same formula
 with q on the dual side, and J* o J is the identity. The smoothness
 functional psi(x, y) = <J(x), y> / ||x|| equals the one-sided derivative of
-t -> ||x + t y|| at t = 0+.
+t -> ||x + t y|| at t = 0+. All three are positively homogeneous, so the
+closed forms built on them treat only an exact zero as zero; ``theta_tol``
+only discards numerically null sample rows in the verifier.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import DegenerateInputError, DimensionMismatchError, InvalidSpaceEr
 P_MIN = 1.1
 P_MAX = 10.0
 
-# A point whose norm is <= THETA_TOL_SCALE * n is treated as the origin.
+# All this decides: sampled rows of norm <= THETA_TOL_SCALE * n are dropped as null.
 THETA_TOL_SCALE = 1e-12
 
 
@@ -199,9 +201,10 @@ def _finite(val, what: str):
     return val
 
 
-def _duality(coords: np.ndarray, exponent: float, nrm: float, tol: float) -> np.ndarray:
-    """Coordinates of J (exponent p) or J* (exponent q) at a point of norm nrm."""
-    if nrm <= tol:
+def _duality(coords: np.ndarray, exponent: float, nrm: float) -> np.ndarray:
+    """Coordinates of J (exponent p) or J* (exponent q) at a point of norm nrm;
+    zeros only when nrm == 0.0, since the formula is homogeneous."""
+    if nrm == 0.0:
         return np.zeros_like(coords)
     # sign(x)*|x|^(e-1) is safe for all e > 1, including zero entries.
     return np.sign(coords) * np.abs(coords) ** (exponent - 1.0) / nrm ** (exponent - 2.0)
@@ -220,7 +223,7 @@ def norm_dual(xs: DualPoint) -> float:
 
 
 def is_theta(point: PrimalPoint | DualPoint) -> bool:
-    """Whether the point is at (or numerically indistinguishable from) the origin."""
+    """Whether the norm is at most ``theta_tol``: a numerically null sample row."""
     if isinstance(point, DualPoint):
         return norm_dual(point) <= point.space.theta_tol
     return norm_primal(point) <= point.space.theta_tol
@@ -241,7 +244,7 @@ def duality_map(x: PrimalPoint) -> DualPoint:
     sp = x.space
     _expect(sp, PrimalPoint, x)
     nrm = _norm(x.coords, sp.weights, sp.p)
-    return DualPoint(_duality(x.coords, sp.p, nrm, sp.theta_tol), sp)
+    return DualPoint(_duality(x.coords, sp.p, nrm), sp)
 
 
 def duality_map_inv(xs: DualPoint) -> PrimalPoint:
@@ -249,18 +252,17 @@ def duality_map_inv(xs: DualPoint) -> PrimalPoint:
     sp = xs.space
     _expect(sp, DualPoint, xs)
     nrm = _norm(xs.coords, sp.weights, sp.q)
-    return PrimalPoint(_duality(xs.coords, sp.q, nrm, sp.theta_tol), sp)
+    return PrimalPoint(_duality(xs.coords, sp.q, nrm), sp)
 
 
 def smoothness(x: PrimalPoint, y: PrimalPoint) -> float:
     """One-sided derivative of t -> ||x + t y|| at t = 0+, i.e. <J(x), y>/||x||.
 
-    Raises DegenerateInputError when x is numerically the origin, where the
-    norm is not differentiable.
+    Raises DegenerateInputError at the origin, where the norm is not differentiable.
     """
     sp = x.space
     _expect(sp, PrimalPoint, x, y)
     nrm = _norm(x.coords, sp.weights, sp.p)
-    if nrm <= sp.theta_tol:
+    if nrm == 0.0:
         raise DegenerateInputError("smoothness functional is undefined at the origin")
-    return _pair(sp.weights, _duality(x.coords, sp.p, nrm, sp.theta_tol), y.coords) / nrm
+    return _pair(sp.weights, _duality(x.coords, sp.p, nrm), y.coords) / nrm

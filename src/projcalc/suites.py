@@ -608,7 +608,7 @@ def _hilbert_grid(env: Env):
             ys = dec.o_star(anchor, _rand_dual(sp, rng))
         else:
             ys = _rand_dual(sp, rng)
-        if spc.norm_dual(ys) <= sp.theta_tol:
+        if spc.norm_dual(ys) == 0.0:
             agreements += 1
             continue
         verdict = cd.sphere_theta_member(r, xb, ys).verdict
@@ -830,7 +830,7 @@ def _theta_membership_grid(env: Env):
         sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
         ok &= analytic and isinstance(sampled, oc.NotRejected)
     for ys in nonmembers:
-        if spc.norm_dual(ys) <= sp.theta_tol:
+        if spc.norm_dual(ys) == 0.0:
             continue
         analytic = cd.sphere_theta_member(r, xb, ys).verdict is cd.Verdict.NOT_MEMBER
         sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)

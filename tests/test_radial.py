@@ -150,6 +150,49 @@ def test_radial_kernels_are_positively_homogeneous(k, p):
         assert abs(c2.slope - c1.slope) <= 1e-12 * abs(c1.slope)
 
 
+@given(k=st.integers(-20, 20), p=st.sampled_from([1.1, 1.5, 2.0, 3.0, 7.0, 10.0]))
+@example(k=-20, p=1.5)
+@example(k=20, p=10.0)
+@settings(max_examples=60, deadline=None)
+def test_duality_kernels_are_positively_homogeneous(k, p):
+    # J, J*, psi, o*, the boundary theta*-verdicts, the empty fiber of
+    # J(xbar) and the direction classification all scale with lam = 10^k:
+    # the closed forms treat only an exact zero as zero.
+    lam = 10.0**k
+    sp = pc.SpaceConfig(n=4, p=p, weights=[0.5, 1.0, 1.5, 2.0])
+    x, v = sp.primal([1.5, -0.7, 0.3, 0.9]), sp.primal([0.2, 1.0, -0.4, 0.6])
+    ys = sp.dual([-0.3, 0.8, 0.5, -1.1])
+    assert _rel_gap(pc.duality_map(lam * x).coords, lam * pc.duality_map(x).coords) <= 1e-12
+    assert _rel_gap(pc.duality_map_inv(lam * ys).coords,
+                    lam * pc.duality_map_inv(ys).coords) <= 1e-12
+    psi = pc.smoothness(x, v)
+    assert abs(pc.smoothness(lam * x, v) - psi) <= 1e-12 * abs(psi)
+    o1, o2 = (pc.o_star(pc.Anchor.at(s * x), ys).coords for s in (1.0, lam))
+    assert _rel_gap(o2, o1) <= 1e-12
+    for mask in (frozenset(range(4)), frozenset({0, 1, 3})):
+        sel = np.isin(np.arange(4), sorted(mask))
+        edge = x * (1.0 / pc.norm_primal(sp.primal(np.where(sel, x.coords, 0.0))))
+        jm = sp.dual(np.where(sel, pc.duality_map(edge).coords, 0.0))
+        results = []
+        for s in (1.0, lam):
+            xe = s * edge
+            if len(mask) == 4:
+                set_, empty = pc.Ball(s), pc.coderiv_ball(s, xe, pc.duality_map(xe))
+                verdicts = [pc.sphere_theta_member(s, xe, s * q) for q in (-0.7 * jm, ys)]
+            else:
+                set_ = pc.Cylinder(s, mask)
+                empty = pc.coderiv_cylinder(s, mask, xe, pc.duality_map(xe))
+                verdicts = [pc.cylinder_theta_member(s, mask, xe, s * q) for q in (-0.7 * jm, ys)]
+            assert isinstance(empty, pc.EmptyFiber)
+            holds = [(m.verdict, [c.holds for c in m.certificates]) for m in verdicts]
+            results.append((holds, pc.classify_direction(set_, xe, s * v)))
+        (h1, c1), (h2, c2) = results
+        assert h1[0][0] is pc.Verdict.MEMBER and h1[1][0] is pc.Verdict.NOT_MEMBER
+        assert h2 == h1
+        assert c2.kind is c1.kind
+        assert abs(c2.slope - lam * c1.slope) <= 1e-12 * lam * abs(c1.slope)
+
+
 @pytest.mark.parametrize(
     "set_",
     [
