@@ -111,7 +111,7 @@ def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> Coderi
         return Singleton(value=ystar)
     if kind is RegionKind.EXTERIOR:
         ym = np.where(sel, yc, 0.0)
-        a = _pair(w, ym, xm) / nrm**2
+        a = _pair(w, ym, xm) / nrm / nrm
         jm = _duality(xm, sp.p, nrm)
         return Singleton(value=sp.dual((r / nrm) * (ym - a * jm) + (yc - ym)))
     ny = _norm(yc, w, sp.q)

@@ -122,7 +122,7 @@ def frechet_apply(set_: ConvexSet, xbar: PrimalPoint, v: PrimalPoint) -> PrimalP
         return v
     sp = xbar.space
     vm = np.where(sel, v.coords, 0.0)
-    a = _pair(sp.weights, _duality(xm, sp.p, nrm), vm) / nrm**2
+    a = _pair(sp.weights, _duality(xm, sp.p, nrm), vm) / nrm / nrm
     return sp.primal(np.where(sel, (r / nrm) * (v.coords - a * xbar.coords), v.coords))
 
 

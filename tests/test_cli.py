@@ -119,6 +119,20 @@ class TestRun:
             assert case["status"] == "fail" and case["metrics"] == {}
             assert case["error"].split(":")[0].endswith("Error")
 
+    @pytest.mark.parametrize("r", ["1e-170", "1e160"])
+    def test_extreme_radius_reports_every_case_at_p_below_2(self, tmp_path, capsys, r):
+        # ||xbar_M||^2 leaves the float range here while ||xbar_M|| does not;
+        # the run still ends in a report, not a traceback.
+        out = tmp_path / "report.json"
+        code = main(["run", "--suite", "all", "--r", r, "--p", "1.5", "--samples", "10",
+                     "--seed", "0", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        doc = json.loads(out.read_text())
+        # Every case but the p = 2 coderiv-ball/hilbert-grid runs.
+        runs = sum(case.when is None for suite in SUITES.values() for case in suite.cases)
+        assert doc["summary"]["total"] == len(doc["cases"]) == runs
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PROJCALC_SEED", "77")
         out = tmp_path / "env.json"
