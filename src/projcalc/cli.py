@@ -95,14 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = subs.add_parser("run", help="execute a verification suite")
     run.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    run.add_argument("--n", type=int, default=8)
-    run.add_argument("--p", type=float, default=2.0)
-    run.add_argument("--r", type=float, default=1.0)
-    run.add_argument("--mask-density", type=float, default=0.5)
-    run.add_argument("--weights", choices=["ones", "random"], default="ones")
+    run.add_argument("--n", type=int, default=SuiteSpec.n)
+    run.add_argument("--p", type=float, default=SuiteSpec.p)
+    run.add_argument("--r", type=float, default=SuiteSpec.r)
+    run.add_argument("--mask-density", type=float, default=SuiteSpec.mask_density)
+    run.add_argument("--weights", choices=["ones", "random"], default=SuiteSpec.weights_mode)
     run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--samples", type=int, default=100)
-    run.add_argument("--tol-scale", type=float, default=1.0)
+    run.add_argument("--samples", type=int, default=SuiteSpec.samples)
+    run.add_argument("--tol-scale", type=float, default=SuiteSpec.tol_scale)
     run.add_argument("--case", default=None, help="run a single case id")
     run.add_argument("--out", default=None, help="path for the JSON report")
     run.add_argument("--csv", default=None, help="optional CSV metrics path")
