@@ -7,13 +7,15 @@ code and its report with the timestamp line removed. Compares the same way
 six runs at radii where some cases raise, ``--samples 10`` with ``--r``
 1e-170, 1e-20, 1e20 and 1e170, and with ``--p 1.5 --r`` 1e-170 and 1e160,
 where ||xbar_M||^2 leaves the float range but ||xbar_M|| does not; each
-exits 1 by design, so they are counted apart from the grid. Then runs a fixed list of ``projcalc oracle`` and
-``projcalc witness`` commands in both trees and compares their exit code,
-stdout and stderr.
-Prints every pair that differs, and exits 1 if any does. After the totals,
-names each case whose status, metrics, witness or error differs in any
-report, with the number of runs in which it differs, and counts the status
-changes. Last, prints the line count of ``src/projcalc/*.py`` in both trees.
+exits 1 by design, so they are counted apart from the grid. Then runs a
+fixed list of ``projcalc oracle`` and ``projcalc witness`` commands in both
+trees and compares their exit code, stdout and stderr.
+Prints every pair that differs, and exits 1 if any does. A run that ends
+without a report on one side (a traceback) is named and left out of the
+case tally. After the totals, names each case whose status, metrics,
+witness or error differs between two reports, with the number of runs in
+which it differs, and counts the status changes. Last, prints the line
+count of ``src/projcalc/*.py`` in both trees.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -104,6 +106,9 @@ def _compare(old: Path, rev: str, run_args: list[str]) -> tuple[bool, bool, set[
     of them whose status changed; prints the diff of a differing pair."""
     (code_a, text_a), (code_b, text_b) = _run(old, run_args), _run(ROOT, run_args)
     differs = (code_a, text_a) != (code_b, text_b)
+    if differs and not (text_a and text_b):
+        print(f"NO REPORT: run {' '.join(run_args)} at {rev if not text_a else 'working tree'}")
+        return differs, code_a != 0 or code_b != 0, set(), 0
     cases_a, cases_b = _cases(text_a), _cases(text_b)
     changed = {cid for cid in cases_a.keys() | cases_b.keys()
                if cases_a.get(cid) != cases_b.get(cid)}
