@@ -3,20 +3,19 @@ coderivative fibers, cross-checked by finite differences and a sampled
 quotient oracle."""
 
 from .coderivative import (
+    Box,
     CoderivResult,
     ConditionReport,
     EmptyFiber,
-    OrderInterval,
     Singleton,
     ThetaMembership,
     Verdict,
     coderiv_ball,
     coderiv_cylinder,
-    cone_interval_at_origin,
-    cone_jf_member,
+    cone_fiber,
     cone_theta_member,
+    contains,
     cylinder_theta_member,
-    interval_contains,
     sphere_theta_member,
 )
 from .decomposition import Anchor, a_coef, a_star, in_O, o_part, o_star

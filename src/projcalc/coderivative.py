@@ -19,12 +19,12 @@ Variational Analysis, Prop. 6.5). So theta* is a member exactly when the
 unmasked part of y* vanishes, lambda > 0 and y*_M + lambda g = 0: theta* is
 the upper end of the segment.
 
-For the positive cone the fiber of psi at f is a box, taken one
-coordinate at a time from the graph of t -> max(t, 0) (Rockafellar-Wets,
-Variational Analysis, Prop. 6.41): {psi_i} where f_i > 0, [0, psi_i] where
-f_i = 0 (empty if psi_i < 0) and {0} where f_i < 0. theta* is a member iff
-every coordinate's interval holds 0; at the origin the box of a nonnegative
-psi is the order interval [theta*, psi].
+For the positive cone the fiber of psi at f is a box, taken one coordinate
+at a time from the graph of t -> max(t, 0) (Rockafellar-Wets, Variational
+Analysis, Prop. 6.41): {psi_i} where f_i > 0, [0, psi_i] where f_i = 0
+(empty if psi_i < 0) and {0} where f_i < 0. The signs of f are exact, and
+every comparison of a dual entry against the box uses one relative
+tolerance, ``QUERY_MATCH_TOL`` times its largest |bound|: the cone is scale-free.
 
 Every verdict carries named condition evaluations with numeric slacks so a
 failed case can be reproduced from its inputs. The ball and cylinder fibers
@@ -46,18 +46,15 @@ from .space import DualPoint, PrimalPoint, _duality, _expect, _norm, _pair
 # Relative tolerance, against ||y*||_q, on the alignment y*_M + lambda J(xb_M) = 0.
 ALIGNMENT_TOL = 1e-8
 
-# Relative tolerance for recognizing the special queries theta* and J(xb).
+# Relative tolerance for recognizing the special queries theta* and J(xb),
+# and, against the largest |bound|, for every comparison with a cone box.
 QUERY_MATCH_TOL = 1e-9
-
-# Componentwise zero test for cone sign conditions.
-COORD_ZERO_TOL = 1e-12
 
 
 class Verdict(Enum):
     MEMBER = "member"
     NOT_MEMBER = "not_member"
-    # No function returns it; it is kept because the benchmark's workloads
-    # (perfbench/workloads.py) read it.
+    # Returned by no function; kept because the benchmark's workloads read it.
     UNDETERMINED = "undetermined"
 
 
@@ -85,12 +82,12 @@ class ThetaMembership:
 
 
 @dataclass(frozen=True)
-class OrderInterval:
+class Box:
     lo: DualPoint
     hi: DualPoint
 
 
-CoderivResult = Singleton | EmptyFiber | ThetaMembership | OrderInterval
+CoderivResult = Singleton | EmptyFiber | ThetaMembership | Box
 
 
 def _checked(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint):
@@ -179,12 +176,9 @@ def _theta_entry(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> 
 
 
 def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
-    """Decide whether theta* belongs to the sphere-point fiber of y*.
-
-    Membership holds exactly when y* is a negative multiple of J(xbar), the
-    one certificate. The list is the full-mask cylinder's without its tail
-    test.
-    """
+    """Decide whether theta* belongs to the sphere-point fiber of y*: exactly
+    when y* is a negative multiple of J(xbar), the one certificate (the
+    full-mask cylinder's list without its tail test)."""
     return _theta_entry(Ball(r), xbar, ystar)
 
 
@@ -199,57 +193,61 @@ def cylinder_theta_member(
     return _theta_entry(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
 
 
-def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
-    """Coordinatewise box test for theta* membership in the cone fiber of phi.
+def _cone_box(fc: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bounds of the cone fiber box of pc at fc, with the exact signs of fc,
+    and the one tolerance of every comparison against them."""
+    lo = np.where(fc > 0.0, pc, 0.0)
+    hi = np.where(fc >= 0.0, pc, 0.0)
+    return lo, hi, _box_tol(lo, hi)
 
-    The fiber is a box: coordinate i is {phi_i} where f_i > 0, [0, phi_i]
-    where f_i = 0 (empty if phi_i < 0), and {0} where f_i < 0. So theta* is
-    a member exactly when no coordinate has (f > 0 and phi != 0) and none
-    has (f = 0 and phi < 0), each up to ``COORD_ZERO_TOL``. Every violating
-    coordinate gets one certificate, in ascending order.
-    """
+
+def _box_tol(lo: np.ndarray, hi: np.ndarray) -> float:
+    """``QUERY_MATCH_TOL`` times the box's largest |bound|."""
+    return QUERY_MATCH_TOL * float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+
+
+def cone_fiber(f: PrimalPoint, psi: DualPoint) -> Box | EmptyFiber:
+    """Coderivative fiber of the cone projection at f for the query psi: the
+    box of ``_cone_box``, or ``EmptyFiber`` when some psi_i < 0 at f_i = 0."""
+    _expect(f.space, PrimalPoint, f)
+    _expect(f.space, DualPoint, psi)
+    lo, hi, tol = _cone_box(f.coords, psi.coords)
+    if (hi < lo - tol).any():
+        return EmptyFiber()
+    return Box(lo=DualPoint(lo, f.space), hi=DualPoint(hi, f.space))
+
+
+def contains(fiber: Box | EmptyFiber, xstar: DualPoint) -> ConditionReport:
+    """Whether x* lies in the fiber, up to the box's relative tolerance; the
+    slack is the largest coordinate violation. An empty fiber holds nothing."""
+    if isinstance(fiber, EmptyFiber):
+        return ConditionReport(name="the fiber is empty", holds=False, slack=np.inf)
+    if not isinstance(fiber, Box):
+        raise PreconditionError(f"contains takes a Box or an EmptyFiber, got {fiber!r}")
+    _expect(xstar.space, DualPoint, fiber.lo, fiber.hi, xstar)
+    lo, hi, xc = fiber.lo.coords, fiber.hi.coords, xstar.coords
+    slack = max(0.0, float(np.max(np.maximum(lo - xc, xc - hi))))
+    return ConditionReport(name="x* lies in the box", holds=slack <= _box_tol(lo, hi), slack=slack)
+
+
+def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
+    """Whether theta* lies in ``cone_fiber(f, phi)``: a coordinate conflicts
+    where lo_i > tol (phi_i != 0 at f_i > 0) or hi_i < -tol (phi_i < 0 at
+    f_i = 0), with the bounds and tolerance of ``_cone_box``. Every
+    conflicting coordinate gets one certificate, in ascending order."""
     _expect(f.space, PrimalPoint, f)
     _expect(f.space, DualPoint, phi)
-    tol = COORD_ZERO_TOL
-    fc, pc = f.coords, phi.coords
-    on_pos = (fc > tol) & (np.abs(pc) > tol)
-    on_zero = (np.abs(fc) <= tol) & (pc < -tol)
-    flagged = (on_pos | on_zero).nonzero()[0].tolist()
+    lo, hi, tol = _cone_box(f.coords, phi.coords)
+    flagged = ((lo > tol) | (hi < -tol)).nonzero()[0].tolist()
     if not flagged:
         cert = ConditionReport(name="no sign conflicts on any coordinate", holds=True, slack=0.0)
         return ThetaMembership(verdict=Verdict.MEMBER, certificates=(cert,))
-    fl, pl = fc.tolist(), pc.tolist()
+    fl, pl = f.coords.tolist(), phi.coords.tolist()
     certs = []
     for i in flagged:
-        if fl[i] > tol:
+        if fl[i] > 0.0:
             name, slack = "dual is nonzero where the point is positive", min(abs(pl[i]), fl[i])
         else:
             name, slack = "dual is negative where the point is zero", -pl[i]
         certs.append(ConditionReport(name=f"coordinate {i}: {name}", holds=False, slack=slack))
     return ThetaMembership(verdict=Verdict.NOT_MEMBER, certificates=tuple(certs))
-
-
-def cone_jf_member(f: PrimalPoint) -> ThetaMembership:
-    """For nonnegative f, J(f) always belongs to its own fiber."""
-    _expect(f.space, PrimalPoint, f)
-    min_coord = float(np.min(f.coords))
-    if min_coord < -COORD_ZERO_TOL:
-        raise PreconditionError("the point must lie in the positive cone")
-    cert = ConditionReport(name="point lies in the positive cone", holds=True, slack=min_coord)
-    return ThetaMembership(verdict=Verdict.MEMBER, certificates=(cert,))
-
-
-def cone_interval_at_origin(psi: DualPoint) -> OrderInterval:
-    """Fiber of a nonnegative query at the origin: the order interval [theta*, psi]."""
-    _expect(psi.space, DualPoint, psi)
-    if float(np.min(psi.coords)) < -COORD_ZERO_TOL:
-        raise PreconditionError("the query must lie in the nonnegative dual cone")
-    return OrderInterval(lo=psi.space.zero_dual(), hi=psi)
-
-
-def interval_contains(interval: OrderInterval, phi: DualPoint) -> bool:
-    """Componentwise lo <= phi <= hi, up to ``COORD_ZERO_TOL``."""
-    _expect(phi.space, DualPoint, interval.lo, interval.hi, phi)
-    lo = interval.lo.coords - COORD_ZERO_TOL
-    hi = interval.hi.coords + COORD_ZERO_TOL
-    return bool(np.all(phi.coords >= lo) and np.all(phi.coords <= hi))

@@ -64,9 +64,8 @@ ALL_OPS = {
     "coderiv_cylinder",
     "cylinder_theta_member",
     "cone_theta_member",
-    "cone_jf_member",
-    "cone_interval_at_origin",
-    "interval_contains",
+    "cone_fiber",
+    "contains",
     "coderiv_quotient",
     "quotient_denominator_pair",
     "test_membership",
@@ -722,7 +721,8 @@ def _duality_image_membership(env: Env):
     ok = True
     for _ in range(ns):
         f = sp.primal(np.abs(rng.standard_normal(sp.n)))
-        ok &= cd.cone_jf_member(f).verdict is cd.Verdict.MEMBER
+        jf = spc.duality_map(f)
+        ok &= cd.contains(cd.cone_fiber(f, jf), jf).holds
     return bool(ok), {"ok": float(ok)}
 
 
@@ -733,16 +733,16 @@ def _origin_interval(env: Env):
     ok = True
     for _ in range(ns):
         psi = sp.dual(np.abs(rng.standard_normal(sp.n)))
-        box = cd.cone_interval_at_origin(psi)
+        box = cd.cone_fiber(sp.zero_primal(), psi)
         inside = sp.dual(rng.uniform(0.0, 1.0, sp.n) * psi.coords)
-        ok &= cd.interval_contains(box, inside)
+        ok &= cd.contains(box, inside).holds
         j = int(rng.integers(0, sp.n))
         above = psi.coords.copy()
         above[j] += 0.3
-        ok &= not cd.interval_contains(box, sp.dual(above))
+        ok &= not cd.contains(box, sp.dual(above)).holds
         below = inside.coords.copy()
         below[j] = -0.2
-        ok &= not cd.interval_contains(box, sp.dual(below))
+        ok &= not cd.contains(box, sp.dual(below)).holds
     return bool(ok), {"ok": float(ok)}
 
 
@@ -949,8 +949,7 @@ SUITES = {
     ),
     "coderiv-cone": Suite(
         tag=7,
-        ops=("cone_theta_member", "cone_jf_member", "cone_interval_at_origin",
-             "interval_contains"),
+        ops=("cone_theta_member", "cone_fiber", "contains"),
         samples=lambda s: max(10, s // 5),
         cases=(_sign_conditions, _duality_image_membership, _origin_interval),
     ),

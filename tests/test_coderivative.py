@@ -403,30 +403,41 @@ class TestCone:
                 member &= lo <= 0.0 <= hi
             verdict = pc.cone_theta_member(sp.primal(f), sp.dual(phi)).verdict
             assert (verdict is MEMBER) == member
+            box = pc.cone_fiber(sp.primal(f), sp.dual(phi))
+            assert pc.contains(box, sp.zero_dual()).holds == member
 
     def test_duality_image_membership_for_nonnegative_points(self, rng):
+        # J(f) lies in the box of f and J(f) for f in the cone; off the cone
+        # the box at a negative f_i is {0}, which J(f)_i < 0 is not in.
         sp = pc.SpaceConfig(n=4, p=3.0)
         f = sp.primal(np.abs(rng.standard_normal(4)))
-        assert pc.cone_jf_member(f).verdict is MEMBER
-        assert pc.cone_jf_member(sp.zero_primal()).verdict is MEMBER
-        with pytest.raises(pc.PreconditionError):
-            pc.cone_jf_member(sp.primal([1.0, -1.0, 0.0, 0.0]))
+        jf = pc.duality_map(f)
+        assert pc.contains(pc.cone_fiber(f, jf), jf).holds
+        assert pc.contains(pc.cone_fiber(sp.zero_primal(), sp.zero_dual()), sp.zero_dual()).holds
+        outside = sp.primal([1.0, -1.0, 0.0, 0.0])
+        j_out = pc.duality_map(outside)
+        assert not pc.contains(pc.cone_fiber(outside, j_out), j_out).holds
 
     def test_interval_at_the_origin(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
-        res = pc.cone_interval_at_origin(sp.dual([1.0, 2.0]))
-        assert isinstance(res, pc.OrderInterval)
+        res = pc.cone_fiber(sp.zero_primal(), sp.dual([1.0, 2.0]))
+        assert isinstance(res, pc.Box)
         assert np.array_equal(res.hi.coords, [1.0, 2.0])
         assert pc.is_theta(res.lo)
-        degenerate = pc.cone_interval_at_origin(sp.zero_dual())
-        assert pc.interval_contains(degenerate, sp.zero_dual())
-        assert not pc.interval_contains(degenerate, sp.dual([0.1, 0.0]))
-        with pytest.raises(pc.PreconditionError):
-            pc.cone_interval_at_origin(sp.dual([1.0, -1.0]))
+        degenerate = pc.cone_fiber(sp.zero_primal(), sp.zero_dual())
+        assert pc.contains(degenerate, sp.zero_dual()).holds
+        assert not pc.contains(degenerate, sp.dual([0.1, 0.0])).holds
+        # A negative query entry at a zero coordinate empties the box.
+        empty = pc.cone_fiber(sp.zero_primal(), sp.dual([1.0, -1.0]))
+        assert isinstance(empty, pc.EmptyFiber)
+        assert not pc.contains(empty, sp.zero_dual()).holds
 
     def test_interval_membership(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
-        box = pc.cone_interval_at_origin(sp.dual([1.0, 2.0]))
-        assert pc.interval_contains(box, sp.dual([0.5, 2.0]))
-        assert not pc.interval_contains(box, sp.dual([-0.1, 1.0]))
-        assert not pc.interval_contains(box, sp.dual([1.5, 1.0]))
+        box = pc.cone_fiber(sp.zero_primal(), sp.dual([1.0, 2.0]))
+        assert pc.contains(box, sp.dual([0.5, 2.0])).holds
+        assert not pc.contains(box, sp.dual([-0.1, 1.0])).holds
+        outside = pc.contains(box, sp.dual([1.5, 1.0]))
+        assert not outside.holds and outside.slack == 0.5
+        with pytest.raises(pc.PreconditionError):
+            pc.contains(pc.Singleton(value=sp.zero_dual()), sp.zero_dual())

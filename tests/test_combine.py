@@ -69,7 +69,9 @@ CALLS = {
         1.0, MASK, x_bd, b(SP.dual([-1.0, 0.0]))
     ),
     "cone_theta_member": lambda b: pc.cone_theta_member(f, b(phi)),
-    "interval_contains": lambda b: pc.interval_contains(pc.cone_interval_at_origin(phi), b(phi)),
+    "cone_fiber-f": lambda b: pc.cone_fiber(b(f), phi),
+    "cone_fiber-psi": lambda b: pc.cone_fiber(f, b(phi)),
+    "contains": lambda b: pc.contains(pc.cone_fiber(SP.zero_primal(), phi), b(phi)),
     "quotient-u": lambda b: pc.quotient_denominator_pair(BALL, x_out, ys, ys, b(x_in)),
     "quotient-xstar": lambda b: pc.quotient_denominator_pair(BALL, x_out, b(ys), ys, x_in),
     "quotient-ystar": lambda b: pc.quotient_denominator_pair(BALL, x_out, ys, b(ys), x_in),
@@ -109,8 +111,6 @@ SINGLE = {
     "classify_region": lambda b: pc.classify_region(BALL, b(x_out)),
     "nonsmoothness_witness": lambda b: pc.nonsmoothness_witness(BALL, b(x_bd)),
     "Anchor.at": lambda b: pc.Anchor.at(b(x_out)),
-    "cone_jf_member": lambda b: pc.cone_jf_member(b(f)),
-    "cone_interval_at_origin": lambda b: pc.cone_interval_at_origin(b(phi)),
 }
 
 

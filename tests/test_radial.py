@@ -193,6 +193,43 @@ def test_duality_kernels_are_positively_homogeneous(k, p):
         assert abs(c2.slope - lam * c1.slope) <= 1e-12 * lam * abs(c1.slope)
 
 
+@given(kf=st.integers(-20, 20), kp=st.integers(-20, 20))
+@example(kf=-13, kp=0)
+@example(kf=20, kp=-20)
+@settings(max_examples=60, deadline=None)
+def test_cone_box_is_scale_free(kf, kp):
+    # The signs of f are exact and every dual entry is compared relative to
+    # the box, so scaling f by lam and psi by mu leaves the theta*-verdict,
+    # its certificate names and an empty fiber unchanged, and scales the
+    # box's bounds by mu.
+    lam, mu = 10.0**kf, 10.0**kp
+    sp = pc.SpaceConfig(n=6, p=3.0)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        f = rng.choice([-1.0, 0.0, 1.0], 6) * rng.uniform(0.1, 3.0, 6)
+        phi = rng.choice([-1.0, 0.0, 1.0], 6) * rng.uniform(0.1, 3.0, 6)
+        results = []
+        for a, b in ((1.0, 1.0), (lam, mu)):
+            fa, pb = sp.primal(a * f), sp.dual(b * phi)
+            m, box = pc.cone_theta_member(fa, pb), pc.cone_fiber(fa, pb)
+            assert pc.contains(box, sp.zero_dual()).holds == (m.verdict is pc.Verdict.MEMBER)
+            results.append((m.verdict, [c.name for c in m.certificates], box))
+        (v1, n1, b1), (v2, n2, b2) = results
+        assert (v2, n2) == (v1, n1)
+        assert isinstance(b2, pc.EmptyFiber) == isinstance(b1, pc.EmptyFiber)
+        if isinstance(b1, pc.Box):
+            assert np.array_equal(b2.lo.coords, mu * b1.lo.coords)
+            assert np.array_equal(b2.hi.coords, mu * b1.hi.coords)
+
+
+def test_cone_verdict_does_not_treat_a_small_coordinate_as_zero():
+    # At f = 1e-13 (1, 2) the point is positive in coordinate 0, where
+    # phi_0 = 1 != 0, at every scale of f.
+    sp = pc.SpaceConfig(n=2, p=2.0)
+    m = pc.cone_theta_member(sp.primal([1e-13, 2e-13]), sp.dual([1.0, 0.0]))
+    assert m.verdict is pc.Verdict.NOT_MEMBER
+
+
 @pytest.mark.parametrize(
     "set_",
     [
