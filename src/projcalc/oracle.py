@@ -153,8 +153,9 @@ def structured_probes(
     xbar: PrimalPoint,
     xstar: DualPoint,
     ystar: DualPoint,
-) -> list[PrimalPoint]:
-    """Deterministic unit probe directions adapted to the set and the query.
+) -> np.ndarray:
+    """Deterministic unit probe directions adapted to the set and the query,
+    as the rows of a (k, n) array.
 
     The raw rays are stacked with their negatives (v0, -v0, v1, -v1, ...)
     and unitized in one row-norm pass; rays of norm <= theta_tol are dropped.
@@ -189,7 +190,7 @@ def structured_probes(
     rays += list(np.eye(sp.n))
     rays = np.array(rays)
     raw = np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
-    return [PrimalPoint(c, sp) for c in _unit_rows(sp, raw)]
+    return _unit_rows(sp, raw)
 
 
 def _unit_rows(sp, raw: np.ndarray) -> np.ndarray:
@@ -221,12 +222,14 @@ def test_membership(
     """Sampled one-sided membership verdict for x* in the fiber of y* at xbar."""
     _expect(xbar.space, PrimalPoint, xbar)
     _expect(xbar.space, DualPoint, xstar, ystar)
-    probes = structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes else []
-    if not probes and cfg.directions_per_radius == 0:
-        raise PreconditionError("no probe directions: enable structured probes or random draws")
     sp = xbar.space
+    if cfg.structured_probes:
+        fixed = structured_probes(set_, xbar, xstar, ystar)
+    else:
+        fixed = np.empty((0, sp.n))
+    if not len(fixed) and cfg.directions_per_radius == 0:
+        raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
-    fixed = np.array([d.coords for d in probes]).reshape(len(probes), sp.n)
     maxima: list[float] = []
     for ri, rho in enumerate(cfg.radii):
         directions = np.vstack(

@@ -281,8 +281,8 @@ def test_structured_probes(p, weights, kind):
         for ystar in (sp.dual(rng.standard_normal(sp.n)), sp.zero_dual()):
             got = structured_probes(set_, xbar, xstar, ystar)
             ref = _ref_structured_probes(set_, xbar, xstar, ystar)
-            assert [_bits(d.coords) for d in got] == [_bits(d.coords) for d in ref]
-            assert all(type(d) is pc.PrimalPoint for d in got)
+            assert got.shape == (len(ref), sp.n)
+            assert [_bits(row) for row in got] == [_bits(d.coords) for d in ref]
 
 
 # -- edge cases and error paths ------------------------------------------------------
