@@ -63,19 +63,19 @@ class OracleConfig:
 
     def __post_init__(self):
         if len(self.radii) < 2:
-            raise ValueError("need at least two radii for a trend verdict")
+            raise PreconditionError("need at least two radii for a trend verdict")
         if not all(0.0 < r < math.inf for r in self.radii):
-            raise ValueError(f"radii must be positive and finite, got {self.radii}")
+            raise PreconditionError(f"radii must be positive and finite, got {self.radii}")
         if any(a <= b for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
+            raise PreconditionError("radii must be strictly decreasing")
         if not (math.isfinite(self.reject_threshold) and math.isfinite(self.accept_threshold)):
-            raise ValueError("thresholds must be finite")
+            raise PreconditionError("thresholds must be finite")
         if self.reject_threshold <= self.accept_threshold:
-            raise ValueError("reject threshold must exceed accept threshold")
+            raise PreconditionError("reject threshold must exceed accept threshold")
         if self.accept_threshold <= 0.0:
-            raise ValueError("thresholds must be positive")
+            raise PreconditionError("thresholds must be positive")
         if self.directions_per_radius < 0:
-            raise ValueError("direction count must be nonnegative")
+            raise PreconditionError("direction count must be nonnegative")
 
 
 @dataclass(frozen=True)

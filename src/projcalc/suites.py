@@ -33,7 +33,7 @@ from . import derivatives as dv
 from . import oracle as oc
 from . import projections as pj
 from . import space as spc
-from .errors import ProjcalcError
+from .errors import PreconditionError, ProjcalcError
 from .instances import gen_instance, make_weights, point_at_norm, sample_in_set
 from .report import CaseResult, Report, build_summary
 
@@ -89,23 +89,23 @@ class SuiteSpec:
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
-            raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
+            raise PreconditionError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if not (spc.P_MIN <= self.p <= spc.P_MAX):
-            raise ValueError(f"p must lie in [{spc.P_MIN}, {spc.P_MAX}], got {self.p}")
+            raise PreconditionError(f"p must lie in [{spc.P_MIN}, {spc.P_MAX}], got {self.p}")
         if self.n < 2:
-            raise ValueError("suites need dimension n >= 2")
+            raise PreconditionError("suites need dimension n >= 2")
         if not (0.0 < self.mask_density <= 1.0):
-            raise ValueError("mask density must lie in (0, 1]")
+            raise PreconditionError("mask density must lie in (0, 1]")
         if not (0.0 < self.r < np.inf):
-            raise ValueError(f"radius must be positive and finite, got {self.r}")
+            raise PreconditionError(f"radius must be positive and finite, got {self.r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
         if self.samples < 10:
-            raise ValueError("sample count must be at least 10")
+            raise PreconditionError("sample count must be at least 10")
         if not (0.0 < self.tol_scale < np.inf):
-            raise ValueError(f"tolerance scale must be positive and finite, got {self.tol_scale}")
+            raise PreconditionError(f"tolerance scale must be positive and finite, got {self.tol_scale}")
         if self.weights_mode not in ("ones", "random"):
-            raise ValueError("weights mode must be 'ones' or 'random'")
+            raise PreconditionError("weights mode must be 'ones' or 'random'")
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             pc.OracleConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"radii": (1e-1,)}, {"radii": (1e-1, math.nan)}, {"radii": (1e-2, 1e-1)},
+         {"reject_threshold": math.inf}, {"reject_threshold": 1e-4, "accept_threshold": 1e-3},
+         {"accept_threshold": -1e-3}, {"directions_per_radius": -1}],
+        ids=["one-radius", "radius-nan", "increasing-radii", "reject-inf", "reject-below-accept",
+             "accept-negative", "directions"],
+    )
+    def test_invalid_field_raises_a_projcalc_error(self, kwargs):
+        with pytest.raises(pc.ProjcalcError):
+            pc.OracleConfig(**kwargs)
+
 
 class TestQuotient:
     def test_zero_queries_give_zero(self, rng):

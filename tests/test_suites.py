@@ -7,6 +7,7 @@ import shlex
 
 import pytest
 
+import projcalc as pc
 from projcalc.cli import main
 from projcalc.suites import ALL_OPS, SUITES, SuiteSpec, run_suite
 
@@ -20,6 +21,16 @@ class TestSpecValidation:
     def test_rejects_non_finite_parameters(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             SuiteSpec(suite="all", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"suite": "nope"}, {"p": 1.0}, {"n": 1}, {"mask_density": 0.0}, {"r": 0.0},
+         {"seed": -1}, {"samples": 9}, {"tol_scale": 0.0}, {"weights_mode": "uniform"}],
+        ids=["suite", "p", "n", "mask-density", "r", "seed", "samples", "tol-scale", "weights"],
+    )
+    def test_invalid_field_raises_a_projcalc_error(self, kwargs):
+        with pytest.raises(pc.ProjcalcError):
+            SuiteSpec(**{"suite": "all", **kwargs})
 
 
 def _run(argv, tmp_path, name):
