@@ -154,8 +154,7 @@ def structured_probes(
     xstar: DualPoint,
     ystar: DualPoint,
 ) -> np.ndarray:
-    """Deterministic unit probe directions adapted to the set and the query,
-    as the rows of a (k, n) array.
+    """Deterministic unit probe directions for the set and the query, as (k, n) rows.
 
     The raw rays are stacked with their negatives (v0, -v0, v1, -v1, ...)
     and unitized in one row-norm pass; rays of norm <= theta_tol are dropped.
@@ -223,10 +222,8 @@ def test_membership(
     _expect(xbar.space, PrimalPoint, xbar)
     _expect(xbar.space, DualPoint, xstar, ystar)
     sp = xbar.space
-    if cfg.structured_probes:
-        fixed = structured_probes(set_, xbar, xstar, ystar)
-    else:
-        fixed = np.empty((0, sp.n))
+    fixed = (structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes
+             else np.empty((0, sp.n)))
     if not len(fixed) and cfg.directions_per_radius == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
