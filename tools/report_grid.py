@@ -14,8 +14,10 @@ Prints every pair that differs, and exits 1 if any does. A run that ends
 without a report on one side (a traceback) is named and left out of the
 case tally. After the totals, names each case whose status, metrics,
 witness or error differs between two reports, with the number of runs in
-which it differs, and counts the status changes. Last, prints the line
-count of ``src/projcalc/*.py`` in both trees.
+which it differs, and counts the status changes. Then names each
+``summary`` key that differs, with the number of runs in which it differs,
+so a renamed op shows as a change of ``ops_covered`` and ``ops_missing``
+alone. Last, prints the line count of ``src/projcalc/*.py`` in both trees.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -94,35 +96,44 @@ def _run(tree: Path, args: list[str]) -> tuple[int, str]:
     return code, "".join(ln for ln in lines if not ln.startswith('  "timestamp": '))
 
 
-def _cases(text: str) -> dict[str, dict]:
-    """A report's cases by id, each reduced to the fields a change may move."""
-    cases = json.loads(text)["cases"] if text else []
-    return {c["id"]: {k: c.get(k) for k in CASE_FIELDS} for c in cases}
+def _parts(text: str) -> tuple[dict, dict[str, dict]]:
+    """A report's summary, and its cases by id, each reduced to the fields a
+    change may move."""
+    report = json.loads(text) if text else {"summary": {}, "cases": []}
+    cases = {c["id"]: {k: c.get(k) for k in CASE_FIELDS} for c in report["cases"]}
+    return report["summary"], cases
 
 
-def _compare(old: Path, rev: str, run_args: list[str]) -> tuple[bool, bool, set[str], int]:
+def _differing(a: dict, b: dict) -> set[str]:
+    return {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
+
+
+def _compare(
+    old: Path, rev: str, run_args: list[str]
+) -> tuple[bool, bool, set[str], int, set[str]]:
     """Whether the run differs between REV's tree and this one, whether
-    either exits nonzero, the ids of the cases that differ and the number
-    of them whose status changed; prints the diff of a differing pair."""
+    either exits nonzero, the ids of the cases that differ, the number of
+    them whose status changed and the summary keys that differ; prints the
+    diff of a differing pair."""
     (code_a, text_a), (code_b, text_b) = _run(old, run_args), _run(ROOT, run_args)
     differs = (code_a, text_a) != (code_b, text_b)
     if differs and not (text_a and text_b):
         print(f"NO REPORT: run {' '.join(run_args)} at {rev if not text_a else 'working tree'}")
-        return differs, code_a != 0 or code_b != 0, set(), 0
-    cases_a, cases_b = _cases(text_a), _cases(text_b)
-    changed = {cid for cid in cases_a.keys() | cases_b.keys()
-               if cases_a.get(cid) != cases_b.get(cid)}
+        return differs, code_a != 0 or code_b != 0, set(), 0, set()
+    (summary_a, cases_a), (summary_b, cases_b) = _parts(text_a), _parts(text_b)
+    changed = _differing(cases_a, cases_b)
     status_changes = sum(
         (cases_a.get(cid) or {}).get("status") != (cases_b.get(cid) or {}).get("status")
         for cid in changed
     )
+    keys = _differing(summary_a, summary_b)
     if differs:
         print(f"DIFFERS: run {' '.join(run_args)}: exit {code_a} at {rev}, {code_b} here")
         sys.stdout.writelines(
             difflib.unified_diff(text_a.splitlines(keepends=True),
                                  text_b.splitlines(keepends=True), rev, "working tree")
         )
-    return differs, code_a != 0 or code_b != 0, changed, status_changes
+    return differs, code_a != 0 or code_b != 0, changed, status_changes, keys
 
 
 def main(argv=None) -> int:
@@ -156,6 +167,8 @@ def main(argv=None) -> int:
     for cid, count in sorted(tally.items()):
         print(f"  case {cid} differs in {count}/{len(runs)} runs")
     print(f"{sum(r[3] for r in runs)} case status changes over {len(runs)} runs")
+    for key, count in sorted(collections.Counter(k for r in runs for k in r[4]).items()):
+        print(f"  summary.{key} differs in {count}/{len(runs)} runs")
     print(f"src/projcalc/*.py: {old_lines} lines at {args.against}, {_src_lines(ROOT)} here")
     return 1 if differ or raising_differ or cli_differ else 0
 
