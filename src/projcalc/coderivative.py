@@ -23,8 +23,7 @@ For the positive cone the fiber of psi at f is a box, taken one coordinate
 at a time from the graph of t -> max(t, 0) (Rockafellar-Wets, Variational
 Analysis, Prop. 6.41): {psi_i} where f_i > 0, [0, psi_i] where f_i = 0
 (empty if psi_i < 0) and {0} where f_i < 0. The signs of f are exact, and
-every comparison of a dual entry against the box uses one relative
-tolerance, ``QUERY_MATCH_TOL`` times its largest |bound|: the cone is scale-free.
+dual entries are compared within ``QUERY_MATCH_TOL`` times the box's largest |bound|.
 
 Every verdict carries named condition evaluations with numeric slacks so a
 failed case can be reproduced from its inputs. The ball and cylinder fibers
@@ -46,15 +45,15 @@ from .space import DualPoint, PrimalPoint, _duality, _expect, _norm, _pair
 # Relative tolerance, against ||y*||_q, on the alignment y*_M + lambda J(xb_M) = 0.
 ALIGNMENT_TOL = 1e-8
 
-# Relative tolerance for recognizing the special queries theta* and J(xb),
-# and, against the largest |bound|, for every comparison with a cone box.
+# Relative tolerance for the special queries theta* and J(xb), and for a cone box.
 QUERY_MATCH_TOL = 1e-9
 
 
 class Verdict(Enum):
     MEMBER = "member"
     NOT_MEMBER = "not_member"
-    # Returned by no function; kept because the benchmark's workloads read it.
+    # No function returns it; it is kept because the benchmark's workloads
+    # (perfbench/workloads.py) read it.
     UNDETERMINED = "undetermined"
 
 
@@ -176,9 +175,12 @@ def _theta_entry(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> 
 
 
 def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
-    """Decide whether theta* belongs to the sphere-point fiber of y*: exactly
-    when y* is a negative multiple of J(xbar), the one certificate (the
-    full-mask cylinder's list without its tail test)."""
+    """Decide whether theta* belongs to the sphere-point fiber of y*.
+
+    Membership holds exactly when y* is a negative multiple of J(xbar), the
+    one certificate. The list is the full-mask cylinder's without its tail
+    test.
+    """
     return _theta_entry(Ball(r), xbar, ystar)
 
 
@@ -194,8 +196,7 @@ def cylinder_theta_member(
 
 
 def _cone_box(fc: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bounds of the cone fiber box of pc at fc, with the exact signs of fc,
-    and the one tolerance of every comparison against them."""
+    """The cone fiber box of pc at fc, by the exact signs of fc, and its tolerance."""
     lo = np.where(fc > 0.0, pc, 0.0)
     hi = np.where(fc >= 0.0, pc, 0.0)
     return lo, hi, _box_tol(lo, hi)
