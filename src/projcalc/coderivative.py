@@ -204,7 +204,7 @@ def _cone_box(fc: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, f
 
 def _box_tol(lo: np.ndarray, hi: np.ndarray) -> float:
     """``QUERY_MATCH_TOL`` times the box's largest |bound|."""
-    return QUERY_MATCH_TOL * float(max(np.max(np.abs(lo)), np.max(np.abs(hi))))
+    return QUERY_MATCH_TOL * float(np.maximum(np.abs(lo), np.abs(hi)).max())
 
 
 def cone_fiber(f: PrimalPoint, psi: DualPoint) -> Box | EmptyFiber:
