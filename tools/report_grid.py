@@ -16,8 +16,9 @@ case tally. After the totals, names each case whose status, metrics,
 witness or error differs between two reports, with the number of runs in
 which it differs, and counts the status changes. Then names each
 ``summary`` key that differs, with the number of runs in which it differs,
-so a renamed op shows as a change of ``ops_covered`` and ``ops_missing``
-alone. Last, prints the line count of ``src/projcalc/*.py`` in both trees.
+so a renamed op shows as a change of ``ops_covered`` alone (every run is
+a full one, so ``ops_missing`` stays empty). Last, prints the line count
+of ``src/projcalc/*.py`` in both trees.
 
     python3 tools/report_grid.py --against HEAD~1
 """
