@@ -17,11 +17,13 @@ u with a quotient that stays above the threshold at the two smallest radii
 (a genuine violation has an order-one limit; discretization noise decays
 with the radius). "Not rejected" is evidence for membership, never proof.
 
-Each radius is one array pass over a block of unit directions: the
-structured probes, then the random rows. The random rows come from one
-counter-based Philox block per (seed, radius index), so the draws do not
-depend on evaluation order, and the m rows drawn for m directions are the
-first m rows drawn for any larger count.
+Each radius has a block of unit directions: the structured probes, then
+the random rows. The random rows come from one counter-based Philox block
+per (seed, radius index), so the draws do not depend on evaluation order,
+and the m rows drawn for m directions are the first m rows drawn for any
+larger count. The probe points of every radius are stacked into one block
+and the quotient is one array pass over it; each radius then takes the
+first maximum of its own rows.
 """
 
 from __future__ import annotations
@@ -227,21 +229,24 @@ def test_membership(
     if not len(fixed) and cfg.directions_per_radius == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
-    maxima: list[float] = []
-    for ri, rho in enumerate(cfg.radii):
-        directions = np.vstack(
-            [fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)]
-        )
-        u = xbar.coords + rho * directions
-        num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
-        if not ndu.all():
+    blocks = [
+        np.vstack([fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)])
+        for ri in range(len(cfg.radii))
+    ]
+    # Radius i owns rows bounds[i]:bounds[i + 1] of the one stacked block.
+    bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
+    spans = list(zip(bounds, bounds[1:]))
+    u = np.vstack([xbar.coords + rho * b for rho, b in zip(cfg.radii, blocks)])
+    num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
+    for rho, (lo, hi) in zip(cfg.radii, spans):
+        if not ndu[lo:hi].all():
             raise DegenerateInputError(
                 f"radius {rho:g} is below the resolution of the base point's coordinates"
             )
-        q = num / (ndu + ndp)
-        # The first maximum, as a scan keeping only strictly larger values.
-        best = int(np.argmax(q))
-        maxima.append(float(q[best]))
+    q = num / (ndu + ndp)
+    # The first maximum of each radius, as a scan keeping only strictly larger values.
+    best = [lo + int(np.argmax(q[lo:hi])) for lo, hi in spans]
+    maxima = [float(q[b]) for b in best]
     rejected = (
         maxima[-1] >= cfg.reject_threshold
         and maxima[-2] >= cfg.reject_threshold
@@ -249,7 +254,7 @@ def test_membership(
     )
     if rejected:
         return RejectedWithWitness(
-            u=PrimalPoint(u[best], sp),
+            u=PrimalPoint(u[best[-1]], sp),
             quotient=maxima[-1],
             max_quotient_per_radius=tuple(maxima),
         )

@@ -168,10 +168,12 @@ def _expect(space: SpaceConfig, cls: type, *points) -> None:
 def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float):
     """(sum_s w_s |c_s|^e)^(1/e) over the last axis of a (..., n) array.
 
-    A float for one point, an array for a block of rows. The root is the
-    scalar pow, one value at a time: numpy's array power rounds differently
-    in a few percent of inputs, and the scalar root keeps every row of a
-    block bit-identical to the same point on its own. Raises when a norm
+    A float for one point, an array for a block of rows. The root is libm
+    ``pow`` in both cases: Python's float power for one point, and
+    ``np.float_power`` for a block, whose float64 loop calls ``pow`` on each
+    entry with no SIMD dispatch (numpy's ``**`` on an array does dispatch,
+    and rounds differently in a few percent of inputs). So every row of a
+    block is bit-identical to the same point on its own. Raises when a norm
     overflows.
     """
     sums = np.add.reduce(weights * np.abs(coords) ** exponent, axis=-1)
@@ -179,7 +181,7 @@ def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float):
     if sums.ndim == 0:
         root = float(sums) ** inv
     else:
-        root = np.array([s**inv for s in sums.ravel().tolist()]).reshape(sums.shape)
+        root = np.float_power(sums, inv)
     # |c|^e overflows long before the coordinates do (p = 10, |c| ~ 1e31).
     return _finite(root, "norm")
 

@@ -1,13 +1,20 @@
 """The verifier's block passes against the per-point loops they replaced.
 
 Competitor sampling, the variational residual, finite differences, the
-nonsmoothness witness and the oracle's structured probes each run one array
-pass over a block of rows. The reference functions below are the earlier
-per-point loops, kept verbatim in terms of typed points; the sampler's
-reference draws the same blocks and rescales one typed point at a time.
-Every block result must equal them bit for bit, and the sampler must leave
-the generator in the same state.
+nonsmoothness witness, the oracle's structured probes and its quotient over
+every radius each run one array pass over a block of rows. The reference
+functions below are the earlier per-point (or per-radius) loops, kept
+verbatim; the sampler's reference draws the same blocks and rescales one
+typed point at a time. Every block result must equal them bit for bit, and
+the sampler must leave the generator in the same state. A block norm's root
+must equal the scalar root of each row, also under AVX2-level dispatch.
 """
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +22,18 @@ import pytest
 import projcalc as pc
 from projcalc.decomposition import Anchor, o_star
 from projcalc.derivatives import DEFAULT_SCHEDULE
+from projcalc.errors import DegenerateInputError, PreconditionError
 from projcalc.instances import _rescale_masked, point_at_norm, sample_in_set
-from projcalc.oracle import structured_probes
-from projcalc.projections import _masked_norm, _radial
+from projcalc.oracle import (
+    NotRejected,
+    OracleConfig,
+    RejectedWithWitness,
+    _quotient_rows,
+    _random_direction,
+    structured_probes,
+)
+from projcalc.projections import _masked_norm, _project_coords, _radial
+from projcalc.space import _norm
 
 P_GRID = [1.1, 1.5, 2.0, 3.0, 7.0, 10.0]
 N = 6
@@ -139,6 +155,42 @@ def _ref_structured_probes(set_, xbar, xstar, ystar):
             probes.append((1.0 / nrm) * v)
     return probes
 
+
+
+def _ref_test_membership(set_, xbar, xstar, ystar, cfg=OracleConfig()):
+    sp = xbar.space
+    fixed = (structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes
+             else np.empty((0, sp.n)))
+    if not len(fixed) and cfg.directions_per_radius == 0:
+        raise PreconditionError("no probe directions: enable structured probes or random draws")
+    px = _project_coords(set_, sp, xbar.coords)
+    maxima: list[float] = []
+    for ri, rho in enumerate(cfg.radii):
+        directions = np.vstack(
+            [fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)]
+        )
+        u = xbar.coords + rho * directions
+        num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
+        if not ndu.all():
+            raise DegenerateInputError(
+                f"radius {rho:g} is below the resolution of the base point's coordinates"
+            )
+        q = num / (ndu + ndp)
+        # The first maximum, as a scan keeping only strictly larger values.
+        best = int(np.argmax(q))
+        maxima.append(float(q[best]))
+    rejected = (
+        maxima[-1] >= cfg.reject_threshold
+        and maxima[-2] >= cfg.reject_threshold
+        and maxima[-1] >= 0.5 * maxima[-2]
+    )
+    if rejected:
+        return RejectedWithWitness(
+            u=pc.PrimalPoint(u[best], sp),
+            quotient=maxima[-1],
+            max_quotient_per_radius=tuple(maxima),
+        )
+    return NotRejected(max_quotient_per_radius=tuple(maxima))
 
 # -- the grid ---------------------------------------------------------------------
 
@@ -284,6 +336,113 @@ def test_structured_probes(p, weights, kind):
             assert got.shape == (len(ref), sp.n)
             assert [_bits(row) for row in got] == [_bits(d.coords) for d in ref]
 
+
+
+def _oracle_queries(sp, set_, kind, rng):
+    """(xbar, x*, y*) triples: x* = y* and x* = theta* at a random point, and
+    at an interior and a boundary point (ball, cylinder) or a point with
+    zeros (cone)."""
+    bases = [sp.primal(rng.standard_normal(sp.n))]
+    if kind in ("ball", "cylinder", "full-cylinder"):
+        bases += [point_at_norm(sp, set_, rng, t * set_.r) for t in (0.5, 1.0)]
+    elif kind == "cone":
+        bases.append(sp.primal(np.where(rng.standard_normal(sp.n) > 0, 1.0, 0.0)))
+    out = []
+    for xbar in bases:
+        ystar = sp.dual(rng.standard_normal(sp.n))
+        out += [(xbar, ystar, ystar), (xbar, sp.zero_dual(), ystar)]
+    return out
+
+
+def _verdict_bits(v):
+    out = (type(v), _bits(v.max_quotient_per_radius))
+    if isinstance(v, RejectedWithWitness):
+        out += (_bits(v.quotient), _bits(v.u.coords))
+    return out
+
+
+@pytest.mark.parametrize("probes", [True, False], ids=["probes", "no-probes"])
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_membership_over_all_radii_equals_the_per_radius_loop(p, weights, kind, probes):
+    sp, set_, rng = _case(p, weights, kind)
+    cfg = OracleConfig(directions_per_radius=48, seed=int(p * 10), structured_probes=probes)
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xbar, xstar, ystar in _oracle_queries(sp, set_, kind, rng):
+            got = pc.test_membership(set_, xbar, xstar, ystar, cfg)
+            ref = _ref_test_membership(set_, xbar, xstar, ystar, cfg)
+            assert _verdict_bits(got) == _verdict_bits(ref)
+            kinds.add(type(got))
+    if kind == "ball":
+        # The interior query x* = y* is not rejected and x* = theta* is.
+        assert kinds == {NotRejected, RejectedWithWitness}
+
+
+def test_degenerate_radius_is_the_first_with_a_zero_row():
+    # Next to coordinates of 1e13 (spacing 2^-9) every unit row moves u at
+    # radii 0.1 and 0.01, but at 0.001 rows with no entry near 1 round back
+    # to xbar: the error names 0.001, and nothing is divided before it.
+    sp = pc.SpaceConfig(n=N, p=3.0)
+    xbar = sp.primal(1e13 * np.array([1.0, -2.0, 1.5, 1.0, -1.0, 3.0]))
+    xstar, ystar = sp.zero_dual(), sp.dual(np.ones(N))
+    for set_ in (pc.Ball(1.3), pc.PositiveCone()):
+        messages = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (pc.test_membership, _ref_test_membership):
+                with pytest.raises(DegenerateInputError) as exc:
+                    fn(set_, xbar, xstar, ystar)
+                messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("radius 0.001 is below the resolution")
+
+
+SCALE_EXPONENTS = (-300, -150, -20, 0, 20, 150, 300)
+
+
+def _block_root_mismatches():
+    """Rows whose block norm differs from ``float(s) ** (1/p)`` of the row's
+    own sum s, over P_GRID, random weights and row sums of order 10^k for
+    every k in SCALE_EXPONENTS, in (k, n) and (a, b, n) blocks."""
+    rng = np.random.default_rng(19)
+    bad = total = 0
+    for p in P_GRID:
+        w = rng.uniform(0.5, 2.0, N)
+        for k in SCALE_EXPONENTS:
+            # |c|^p sums to about 10^k: the root sees the whole float range.
+            for shape in ((1000, N), (4, 50, N)):
+                block = 10.0 ** (k / p) * rng.standard_normal(shape)
+                got = _norm(block, w, p).ravel()
+                rows = block.reshape(-1, N)
+                ref = [float(np.add.reduce(w * np.abs(c) ** p)) ** (1.0 / p) for c in rows]
+                assert all(_norm(c, w, p) == r for c, r in zip(rows, ref))
+                bad += int(np.count_nonzero(got != np.array(ref)))
+                total += len(ref)
+    return bad, total
+
+
+def test_block_norm_root_is_the_scalar_pow():
+    bad, total = _block_root_mismatches()
+    assert total == len(P_GRID) * len(SCALE_EXPONENTS) * 1200
+    assert bad == 0
+
+
+def test_block_norm_root_is_the_scalar_pow_under_avx2_dispatch():
+    # numpy's SIMD dispatch for array powers differs between AVX512 and AVX2
+    # hosts; the block root must not depend on it.
+    import projcalc
+
+    env = dict(os.environ)
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+    paths = [str(Path(projcalc.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_blocks; print(*test_blocks._block_root_mismatches())"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(len(P_GRID) * len(SCALE_EXPONENTS) * 1200)]
 
 # -- edge cases and error paths ------------------------------------------------------
 
