@@ -235,7 +235,10 @@ def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
     """Whether theta* lies in ``cone_fiber(f, phi)``: a coordinate conflicts
     where lo_i > tol (phi_i != 0 at f_i > 0) or hi_i < -tol (phi_i < 0 at
     f_i = 0), with the bounds and tolerance of ``_cone_box``. Every
-    conflicting coordinate gets one certificate, in ascending order."""
+    conflicting coordinate gets one certificate, in ascending order. Its
+    slack is in dual units: |phi_i| at f_i > 0, the violation that
+    ``contains(cone_fiber(f, phi), theta*)`` reports there, and -phi_i at
+    f_i = 0."""
     _expect(f.space, PrimalPoint, f)
     _expect(f.space, DualPoint, phi)
     lo, hi, tol = _cone_box(f.coords, phi.coords)
@@ -247,7 +250,7 @@ def cone_theta_member(f: PrimalPoint, phi: DualPoint) -> ThetaMembership:
     certs = []
     for i in flagged:
         if fl[i] > 0.0:
-            name, slack = "dual is nonzero where the point is positive", min(abs(pl[i]), fl[i])
+            name, slack = "dual is nonzero where the point is positive", abs(pl[i])
         else:
             name, slack = "dual is negative where the point is zero", -pl[i]
         certs.append(ConditionReport(name=f"coordinate {i}: {name}", holds=False, slack=slack))

@@ -387,8 +387,28 @@ class TestCone:
         assert m.verdict is NOT_MEMBER
         assert [(c.name, c.holds, c.slack) for c in m.certificates] == [
             ("coordinate 0: dual is negative where the point is zero", False, 0.3),
-            ("coordinate 4: dual is nonzero where the point is positive", False, 0.5),
+            ("coordinate 4: dual is nonzero where the point is positive", False, 0.7),
         ]
+
+    def test_certificate_slack_is_in_dual_units(self, rng):
+        # At f = 1e-13 (1, 2) the box is {phi} and theta* misses it by |phi_0|
+        # = 1, however small f is.
+        sp = pc.SpaceConfig(n=2, p=2.0)
+        f, phi = sp.primal([1e-13, 2e-13]), sp.dual([1.0, 0.0])
+        m = pc.cone_theta_member(f, phi)
+        assert [c.slack for c in m.certificates] == [1.0]
+        assert pc.contains(pc.cone_fiber(f, phi), sp.zero_dual()).slack == 1.0
+        # With conflicts only at positive coordinates the box is nonempty, and
+        # its violation is the largest certificate slack.
+        sp = pc.SpaceConfig(n=6, p=3.0)
+        for _ in range(100):
+            fc = rng.choice([-1.0, 0.0, 1.0], 6) * rng.uniform(1e-13, 3.0, 6)
+            ph = rng.standard_normal(6) * np.where(fc > 0.0, 1.0, 0.0)
+            f, phi = sp.primal(fc), sp.dual(ph)
+            m = pc.cone_theta_member(f, phi)
+            if m.verdict is NOT_MEMBER:
+                slack = pc.contains(pc.cone_fiber(f, phi), sp.zero_dual()).slack
+                assert max(c.slack for c in m.certificates) == slack
 
     def test_member_iff_every_coordinate_interval_holds_zero(self, rng):
         # Reference: the box written out one coordinate interval at a time;
