@@ -665,7 +665,7 @@ def _cylinder_boundary_iff(env: Env):
         tail = sp.dual(np.eye(sp.n)[sorted(comp)[0]])
         # The tail is half the member query's norm, which need not be of the
         # order of r: xbar's unmasked part is drawn at unit scale.
-        bad =-1.0 * jm + 0.5 * spc.norm_dual(jm) * tail
+        bad = -1.0 * jm + 0.5 * spc.norm_dual(jm) * tail
         ok &= cd.cylinder_theta_member(r, mask, xb, bad).verdict is cd.Verdict.NOT_MEMBER
     ok &= cd.cylinder_theta_member(r, mask, xb, jm).verdict is cd.Verdict.NOT_MEMBER
     ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, spc.duality_map(xb)), cd.EmptyFiber)
