@@ -15,8 +15,6 @@ from .coderivative import (
     cone_fiber,
     cone_theta_member,
     contains,
-    cylinder_theta_member,
-    sphere_theta_member,
 )
 from .decomposition import Anchor, a_coef, a_star, in_O, o_part, o_star
 from .derivatives import (
@@ -60,7 +58,6 @@ from .projections import (
     Cylinder,
     PositiveCone,
     RegionKind,
-    RegionTag,
     classify_region,
     mask_complement,
     mask_restrict,

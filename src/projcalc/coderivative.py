@@ -12,7 +12,7 @@ derivative, the fiber is the singleton {(grad P(xbar))^T y*}:
 
 On the boundary (||xb_M|| = r) the fiber degenerates: the query theta*
 yields {theta*}, the query J(xb) yields the empty set, and for any other
-query the closed forms characterize membership of theta* only. With
+query the fiber is a ``ThetaMembership``: the verdict on theta* only. With
 g = J(xb_M) and lambda = -<y*_M, xb_M>/||xb_M||^2, the fiber is the segment
 {y* + t g : 0 <= t <= lambda}, empty when lambda < 0 (Rockafellar-Wets,
 Variational Analysis, Prop. 6.5). So theta* is a member exactly when the
@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NotOnBoundaryError, PreconditionError
+from .errors import PreconditionError
 from .projections import Ball, Cylinder, RegionKind, _region
 from .space import DualPoint, PrimalPoint, _duality, _expect, _norm, _pair
 
@@ -89,18 +89,14 @@ class Box:
 CoderivResult = Singleton | EmptyFiber | ThetaMembership | Box
 
 
-def _checked(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint):
-    """Check xbar and y* once; return the space and ``projections._region``."""
+def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
+    """Fiber dispatch shared by the ball and the cylinder, on the coordinates
+    of ``projections._region``; ``_theta_member`` decides the boundary
+    queries other than theta* and J(xbar)."""
     sp = xbar.space
     _expect(sp, PrimalPoint, xbar)
     _expect(sp, DualPoint, ystar)
-    return sp, _region(set_, xbar)
-
-
-def _fiber(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> CoderivResult:
-    """Fiber dispatch shared by the ball and the cylinder; ``_theta_member``
-    decides the remaining boundary queries."""
-    sp, region = _checked(set_, xbar, ystar)
+    region = _region(set_, xbar)
     r, sel, xm, nrm, kind = region
     yc, w = ystar.coords, sp.weights
     if kind is RegionKind.INTERIOR:
@@ -160,39 +156,6 @@ def _theta_member(set_: Ball | Cylinder, sp, yc: np.ndarray, region, ny: float) 
     certs.append(ConditionReport(name=align_name, holds=holds, slack=align))
     verdict = Verdict.MEMBER if all(c.holds for c in certs) else Verdict.NOT_MEMBER
     return ThetaMembership(verdict=verdict, certificates=tuple(certs))
-
-
-def _theta_entry(set_: Ball | Cylinder, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
-    """``_theta_member`` behind the checks of the public verdict functions:
-    a boundary point and a nonzero query."""
-    sp, region = _checked(set_, xbar, ystar)
-    if region[4] is not RegionKind.BOUNDARY:
-        raise NotOnBoundaryError("theta*-membership needs a boundary point")
-    ny = _norm(ystar.coords, sp.weights, sp.q)
-    if ny == 0.0:
-        raise PreconditionError("the zero query is handled by the fiber dispatch")
-    return _theta_member(set_, sp, ystar.coords, region, ny)
-
-
-def sphere_theta_member(r: float, xbar: PrimalPoint, ystar: DualPoint) -> ThetaMembership:
-    """Decide whether theta* belongs to the sphere-point fiber of y*.
-
-    Membership holds exactly when y* is a negative multiple of J(xbar), the
-    one certificate. The list is the full-mask cylinder's without its tail
-    test.
-    """
-    return _theta_entry(Ball(r), xbar, ystar)
-
-
-def cylinder_theta_member(
-    r: float, mask: frozenset[int], xbar: PrimalPoint, ystar: DualPoint
-) -> ThetaMembership:
-    """Decide whether theta* belongs to the cylinder boundary fiber of y*.
-
-    The two certificates are jointly equivalent to membership: the unmasked
-    part of y* vanishes, and y*_M is a negative multiple of J(xbar_M).
-    """
-    return _theta_entry(Cylinder(r=r, mask=frozenset(mask)), xbar, ystar)
 
 
 def _cone_box(fc: np.ndarray, pc: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

@@ -47,6 +47,7 @@ from .space import (
     PrimalPoint,
     _expect,
     _finite,
+    _is_int,
     _norm,
     _pair,
     duality_map_inv,
@@ -76,8 +77,11 @@ class OracleConfig:
             raise PreconditionError("reject threshold must exceed accept threshold")
         if self.accept_threshold <= 0.0:
             raise PreconditionError("thresholds must be positive")
-        if self.directions_per_radius < 0:
-            raise PreconditionError("direction count must be nonnegative")
+        if not _is_int(self.directions_per_radius) or self.directions_per_radius < 0:
+            raise PreconditionError(
+                f"direction count must be a nonnegative integer, got {self.directions_per_radius!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise PreconditionError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

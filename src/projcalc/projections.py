@@ -95,11 +95,6 @@ class RegionKind(Enum):
     EXTERIOR = "exterior"
 
 
-@dataclass(frozen=True)
-class RegionTag:
-    kind: RegionKind
-
-
 # -- masks -------------------------------------------------------------------
 
 
@@ -181,7 +176,7 @@ def _contains_coords(set_: ConvexSet, space, coords: np.ndarray, tol: float = SE
     raise UnsupportedSetError(f"unknown set variant {set_!r}")
 
 
-def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
+def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionKind:
     """Interior/Boundary/Exterior of a ball or cylinder, with a tolerance band
     of ``DEFAULT_BAND_SCALE * r``.
 
@@ -189,7 +184,7 @@ def classify_region(set_: ConvexSet, x: PrimalPoint) -> RegionTag:
     handled by dedicated logic rather than a radius comparison.
     """
     _expect(x.space, PrimalPoint, x)
-    return RegionTag(kind=_region(set_, x)[4])
+    return _region(set_, x)[4]
 
 
 def _region(

@@ -40,6 +40,11 @@ P_MAX = 10.0
 THETA_TOL_SCALE = 1e-12
 
 
+def _is_int(value) -> bool:
+    """The integer test of every count, dimension and seed."""
+    return isinstance(value, (int, np.integer))
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceConfig:
     """A weighted p-norm space of dimension n (and its q-norm dual).
@@ -54,7 +59,7 @@ class SpaceConfig:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise InvalidSpaceError(f"dimension must be a positive integer, got {self.n!r}")
         if not (P_MIN <= self.p <= P_MAX):
             raise InvalidSpaceError(f"exponent p must lie in [{P_MIN}, {P_MAX}], got {self.p}")
@@ -90,10 +95,10 @@ class SpaceConfig:
 
 
 def _freeze_coords(coords, n: int) -> np.ndarray:
-    c = np.asarray(coords, dtype=np.float64).copy()
+    c = np.array(coords, dtype=np.float64)
     if c.shape != (n,):
         raise DimensionMismatchError(f"expected {n} coordinates, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise NonFiniteError("coordinates must be finite")
     c.flags.writeable = False
     return c

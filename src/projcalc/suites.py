@@ -60,9 +60,7 @@ ALL_OPS = {
     "gateaux_fd",
     "nonsmoothness_witness",
     "coderiv_ball",
-    "sphere_theta_member",
     "coderiv_cylinder",
-    "cylinder_theta_member",
     "cone_theta_member",
     "cone_fiber",
     "contains",
@@ -92,16 +90,16 @@ class SuiteSpec:
             raise PreconditionError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if not (spc.P_MIN <= self.p <= spc.P_MAX):
             raise PreconditionError(f"p must lie in [{spc.P_MIN}, {spc.P_MAX}], got {self.p}")
-        if self.n < 2:
-            raise PreconditionError("suites need dimension n >= 2")
+        if not spc._is_int(self.n) or self.n < 2:
+            raise PreconditionError(f"suites need an integer dimension n >= 2, got {self.n!r}")
         if not (0.0 < self.mask_density <= 1.0):
             raise PreconditionError("mask density must lie in (0, 1]")
         if not (0.0 < self.r < np.inf):
             raise PreconditionError(f"radius must be positive and finite, got {self.r}")
-        if self.seed < 0:
-            raise PreconditionError(f"seed must be nonnegative, got {self.seed}")
-        if self.samples < 10:
-            raise PreconditionError("sample count must be at least 10")
+        if not spc._is_int(self.seed) or self.seed < 0:
+            raise PreconditionError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not spc._is_int(self.samples) or self.samples < 10:
+            raise PreconditionError(f"sample count must be an integer >= 10, got {self.samples!r}")
         if not (0.0 < self.tol_scale < np.inf):
             raise PreconditionError(f"tolerance scale must be positive and finite, got {self.tol_scale}")
         if self.weights_mode not in ("ones", "random"):
@@ -359,9 +357,9 @@ def _optimality(env: Env, set_):
 def _region_classification(env: Env):
     sp, rng, spec = env.sp, env.rng, env.spec
     _, ball_set, xb = gen_instance("ball", "boundary", spec.seed, n=spec.n, p=spec.p, r=spec.r)
-    on_edge = pj.classify_region(ball_set, xb).kind is pj.RegionKind.BOUNDARY
+    on_edge = pj.classify_region(ball_set, xb) is pj.RegionKind.BOUNDARY
     inside = pj.classify_region(env.ball, pj.project(env.ball, _rand_primal(sp, rng, 0.1)))
-    ok = on_edge and inside.kind in (pj.RegionKind.INTERIOR, pj.RegionKind.BOUNDARY)
+    ok = on_edge and inside in (pj.RegionKind.INTERIOR, pj.RegionKind.BOUNDARY)
     return ok, {"boundary_ok": float(on_edge)}
 
 
@@ -543,6 +541,17 @@ def _transpose_gap(jac, fiber, ys):
     return spc.norm_dual(fiber.value - want) / max(1.0, spc.norm_dual(ys))
 
 
+def _theta_in(fiber) -> bool:
+    """Whether theta* lies in a ball or cylinder fiber: the verdict of a
+    ``ThetaMembership``, never in an ``EmptyFiber``, and in ``Singleton(v)``
+    iff v has no nonzero coordinate."""
+    if isinstance(fiber, cd.ThetaMembership):
+        return fiber.verdict is cd.Verdict.MEMBER
+    if isinstance(fiber, cd.EmptyFiber):
+        return False
+    return not fiber.value.coords.any()
+
+
 @_case("coderiv-ball/adjoint-identity", "<fiber value, v> = <y*, dP v> at differentiable points")
 def _ball_adjoint_identity(env: Env):
     sp, rng, ns, ball, r = env.sp, env.rng, env.ns, env.ball, env.spec.r
@@ -578,11 +587,9 @@ def _ball_boundary_dispatch(env: Env):
     jx = spc.duality_map(xb)
     zero_ok = isinstance(cd.coderiv_ball(r, xb, sp.zero_dual()), cd.Singleton)
     empty_ok = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
-    member = cd.sphere_theta_member(r, xb, -1.0 * jx).verdict is cd.Verdict.MEMBER
+    member = _theta_in(cd.coderiv_ball(r, xb, -1.0 * jx))
     ortho = dec.o_star(dec.Anchor.at(xb), _rand_dual(sp, rng))
-    not_member = (
-        cd.sphere_theta_member(r, xb, ortho).verdict is cd.Verdict.NOT_MEMBER
-    )
+    not_member = not _theta_in(cd.coderiv_ball(r, xb, ortho))
     return zero_ok and empty_ok and member and not_member, {
         "zero_ok": float(zero_ok),
         "empty_ok": float(empty_ok),
@@ -610,14 +617,9 @@ def _hilbert_grid(env: Env):
         if spc.norm_dual(ys) == 0.0:
             agreements += 1
             continue
-        verdict = cd.sphere_theta_member(r, xb, ys).verdict
+        member = _theta_in(cd.coderiv_ball(r, xb, ys))
         o_zero = spc.norm_dual(dec.o_star(anchor, ys)) <= 1e-8 * spc.norm_dual(ys)
-        expected = (
-            cd.Verdict.MEMBER
-            if (o_zero and spc.pair(ys, xb) < 0.0)
-            else cd.Verdict.NOT_MEMBER
-        )
-        agreements += int(verdict is expected)
+        agreements += int(member == (o_zero and spc.pair(ys, xb) < 0.0))
     return agreements == 20, {"agreements": agreements}
 
 
@@ -627,8 +629,8 @@ def _fiber_nonlinearity(env: Env):
     sp, rng, ball, r = env.sp, env.rng, env.ball, env.spec.r
     xb = point_at_norm(sp, ball, rng, ball.r)
     jx = spc.duality_map(xb)
-    m1 = cd.sphere_theta_member(r, xb, -1.0 * jx).verdict is cd.Verdict.MEMBER
-    m2 = cd.sphere_theta_member(r, xb, -2.0 * jx).verdict is cd.Verdict.MEMBER
+    m1 = _theta_in(cd.coderiv_ball(r, xb, -1.0 * jx))
+    m2 = _theta_in(cd.coderiv_ball(r, xb, -2.0 * jx))
     empty = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
     return m1 and m2 and empty, {"m1": float(m1), "m2": float(m2), "empty": float(empty)}
 
@@ -659,15 +661,15 @@ def _cylinder_boundary_iff(env: Env):
     ok = True
     xb = point_at_norm(sp, cyl, rng, cyl.r)
     jm = pj.mask_restrict(spc.duality_map(xb), mask)
-    ok &= cd.cylinder_theta_member(r, mask, xb, -1.0 * jm).verdict is cd.Verdict.MEMBER
+    ok &= _theta_in(cd.coderiv_cylinder(r, mask, xb, -1.0 * jm))
     comp = pj.mask_complement(mask, sp.n)
     if comp:
         tail = sp.dual(np.eye(sp.n)[sorted(comp)[0]])
         # The tail is half the member query's norm, which need not be of the
         # order of r: xbar's unmasked part is drawn at unit scale.
         bad = -1.0 * jm + 0.5 * spc.norm_dual(jm) * tail
-        ok &= cd.cylinder_theta_member(r, mask, xb, bad).verdict is cd.Verdict.NOT_MEMBER
-    ok &= cd.cylinder_theta_member(r, mask, xb, jm).verdict is cd.Verdict.NOT_MEMBER
+        ok &= not _theta_in(cd.coderiv_cylinder(r, mask, xb, bad))
+    ok &= not _theta_in(cd.coderiv_cylinder(r, mask, xb, jm))
     ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, spc.duality_map(xb)), cd.EmptyFiber)
     ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, sp.zero_dual()), cd.Singleton)
     return bool(ok), {"ok": float(ok)}
@@ -828,20 +830,20 @@ def _theta_membership_grid(env: Env):
     members = [-0.7 * jx, -1.5 * jx]
     nonmembers = [jx, dec.o_star(anchor, _rand_dual(sp, rng))]
     for ys in members:
-        analytic = cd.sphere_theta_member(r, xb, ys).verdict is cd.Verdict.MEMBER
+        analytic = _theta_in(cd.coderiv_ball(r, xb, ys))
         sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
         ok &= analytic and isinstance(sampled, oc.NotRejected)
     for ys in nonmembers:
         if spc.norm_dual(ys) == 0.0:
             continue
-        analytic = cd.sphere_theta_member(r, xb, ys).verdict is cd.Verdict.NOT_MEMBER
+        analytic = not _theta_in(cd.coderiv_ball(r, xb, ys))
         sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
         ok &= analytic and isinstance(sampled, oc.RejectedWithWitness)
     xc = point_at_norm(sp, cyl, rng, cyl.r)
     jm = pj.mask_restrict(spc.duality_map(xc), mask)
-    analytic = cd.cylinder_theta_member(r, mask, xc, -1.0 * jm).verdict
+    analytic = _theta_in(cd.coderiv_cylinder(r, mask, xc, -1.0 * jm))
     sampled = oc.test_membership(cyl, xc, sp.zero_dual(), -1.0 * jm, cfg)
-    ok &= analytic is cd.Verdict.MEMBER and isinstance(sampled, oc.NotRejected)
+    ok &= analytic and isinstance(sampled, oc.NotRejected)
     return bool(ok), {"ok": float(ok)}
 
 
@@ -939,14 +941,14 @@ SUITES = {
     ),
     "coderiv-ball": Suite(
         tag=5,
-        ops=("coderiv_ball", "sphere_theta_member", "frechet_apply"),
+        ops=("coderiv_ball", "frechet_apply"),
         samples=lambda s: max(10, s // 5),
         cases=(_ball_adjoint_identity, _ball_fd_transpose, _ball_boundary_dispatch, _hilbert_grid,
                _fiber_nonlinearity),
     ),
     "coderiv-cylinder": Suite(
         tag=6,
-        ops=("coderiv_cylinder", "cylinder_theta_member", "frechet_apply"),
+        ops=("coderiv_cylinder", "frechet_apply"),
         cases=(_cylinder_adjoint_identity, _cylinder_boundary_iff, _full_mask_reduces_to_ball),
     ),
     "coderiv-cone": Suite(
@@ -958,8 +960,7 @@ SUITES = {
     "oracle-crosscheck": Suite(
         tag=8,
         ops=("coderiv_quotient", "quotient_denominator_pair", "test_membership", "coderiv_ball",
-             "coderiv_cylinder", "sphere_theta_member", "cylinder_theta_member",
-             "cone_theta_member"),
+             "coderiv_cylinder", "cone_theta_member"),
         cases=(_denominator_equivalence, _singleton_soundness, _empty_fiber_rejection,
                _theta_membership_grid, _cone_crosscheck),
     ),

@@ -21,6 +21,15 @@ def unit_primal(space, rng):
     return (1.0 / pc.norm_primal(x)) * x
 
 
+def theta_verdict(fiber):
+    """The theta*-verdict of a ball or cylinder boundary fiber: a
+    ThetaMembership's own; the empty fiber of the query J(xbar) holds nothing."""
+    if isinstance(fiber, pc.EmptyFiber):
+        return pc.Verdict.NOT_MEMBER
+    assert isinstance(fiber, pc.ThetaMembership)
+    return fiber.verdict
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,7 +9,7 @@ each verdict is decidable at the configured radii.
 import numpy as np
 
 import projcalc as pc
-from conftest import P_GRID, random_dual, random_primal
+from conftest import P_GRID, random_dual, random_primal, theta_verdict
 from projcalc.instances import _rescale_masked, gen_instance, sample_in_set
 from projcalc.projections import _radial
 from projcalc.report import render_json
@@ -190,9 +190,9 @@ def test_criterion_05_sphere_membership_grid():
         cases = _sphere_cases(sp, xb, rng)
         assert len(cases) == 20
         for i, ys in enumerate(cases):
-            analytic = pc.sphere_theta_member(1.0, xb, ys)
+            analytic = theta_verdict(pc.coderiv_ball(1.0, xb, ys))
             sampled = pc.test_membership(pc.Ball(1.0), xb, sp.zero_dual(), ys, ORACLE)
-            if analytic.verdict is pc.Verdict.MEMBER:
+            if analytic is pc.Verdict.MEMBER:
                 good = (
                     isinstance(sampled, pc.NotRejected)
                     and sampled.max_quotient_per_radius[-1] <= 1e-3
@@ -205,9 +205,9 @@ def test_criterion_05_sphere_membership_grid():
             if p == 2.0:
                 o_zero = pc.norm_dual(pc.o_star(anchor, ys)) <= 1e-8 * pc.norm_dual(ys)
                 hilbert = o_zero and pc.pair(ys, xb) < 0.0
-                good = good and (hilbert == (analytic.verdict is pc.Verdict.MEMBER))
+                good = good and (hilbert == (analytic is pc.Verdict.MEMBER))
             if not good:
-                mismatches.append((p, i, analytic.verdict))
+                mismatches.append((p, i, analytic))
     _report(5, not mismatches, f"mismatches {mismatches}")
 
 
@@ -284,11 +284,11 @@ def test_criterion_07_cylinder_iff():
             cases.append((-1.0) * jxm + 0.3 * pc.duality_map(xb))
         assert len(cases) == 10
         for i, ys in enumerate(cases):
-            analytic = pc.cylinder_theta_member(1.0, mask, xb, ys)
+            analytic = theta_verdict(pc.coderiv_cylinder(1.0, mask, xb, ys))
             sampled = pc.test_membership(set_, xb, sp.zero_dual(), ys, ORACLE_BULK)
-            member = analytic.verdict is pc.Verdict.MEMBER
+            member = analytic is pc.Verdict.MEMBER
             if member != isinstance(sampled, pc.NotRejected):
-                bad.append((density, i, analytic.verdict))
+                bad.append((density, i, analytic))
             if density == 1.0:
                 # full-mask dispatch must agree with the ball dispatch
                 # case-for-case, including the empty-fiber routing

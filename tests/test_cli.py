@@ -312,17 +312,23 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith("error:") and "no probe directions" in exc.value.code
 
-    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("source", ["flag", "env", "oracle-flag", "oracle-env"])
     def test_negative_seed_prints_one_error_line(self, monkeypatch, source):
-        argv = ["run", "--suite", "space-identities"]
-        if source == "flag":
-            argv += ["--seed", "-1"]
+        if source.startswith("oracle"):
+            argv = ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
+                    "--ystar", "[0,1]"]
+            flag, prefix = "--oracle-seed", "invalid oracle parameters:"
+        else:
+            argv = ["run", "--suite", "space-identities"]
+            flag, prefix = "--seed", "invalid suite parameters:"
+        if source.endswith("flag"):
+            argv += [flag, "-1"]
         else:
             monkeypatch.setenv("PROJCALC_SEED", "-3")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
-        assert exc.value.code.startswith("invalid suite parameters:") and "seed" in exc.value.code
+        assert exc.value.code.startswith(prefix) and "seed" in exc.value.code
 
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import projcalc as pc
-from conftest import P_GRID, random_dual, random_primal
+from conftest import P_GRID, random_dual, random_primal, theta_verdict
 from projcalc.instances import point_at_norm
 
 MEMBER = pc.Verdict.MEMBER
@@ -106,33 +106,33 @@ class TestSphereMembership:
         for p in [1.5, 2.0, 3.0]:
             sp = pc.SpaceConfig(n=2, p=p)
             xb = sp.primal([1.0, 0.0])
-            m = pc.sphere_theta_member(1.0, xb, -1.0 * pc.duality_map(xb))
-            assert m.verdict is MEMBER
+            m = pc.coderiv_ball(1.0, xb, -1.0 * pc.duality_map(xb))
+            assert isinstance(m, pc.ThetaMembership) and m.verdict is MEMBER
 
     def test_p3_half_multiple_member(self):
         # y* = -0.5 J(x): lambda = 0.5 and theta* is the upper end of the segment
         sp = pc.SpaceConfig(n=2, p=3.0)
-        m = pc.sphere_theta_member(1.0, sp.primal([1.0, 0.0]), sp.dual([-0.5, 0.0]))
-        assert m.verdict is MEMBER
+        m = pc.coderiv_ball(1.0, sp.primal([1.0, 0.0]), sp.dual([-0.5, 0.0]))
+        assert isinstance(m, pc.ThetaMembership) and m.verdict is MEMBER
 
     def test_orthogonal_query_is_not_member(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
-        m = pc.sphere_theta_member(1.0, sp.primal([1.0, 0.0]), sp.dual([0.0, 1.0]))
-        assert m.verdict is NOT_MEMBER
+        m = pc.coderiv_ball(1.0, sp.primal([1.0, 0.0]), sp.dual([0.0, 1.0]))
+        assert isinstance(m, pc.ThetaMembership) and m.verdict is NOT_MEMBER
 
     def test_positive_alignment_is_not_member(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
         xb = sp.primal([1.0, 0.0])
-        m = pc.sphere_theta_member(1.0, xb, pc.duality_map(xb))
-        assert m.verdict is NOT_MEMBER
+        # The query J(xbar) has the empty fiber, which holds no theta*.
+        assert isinstance(pc.coderiv_ball(1.0, xb, pc.duality_map(xb)), pc.EmptyFiber)
 
     def test_member_certificate_has_negative_multiple_alignment(self, rng):
         for p in P_GRID:
             sp = pc.SpaceConfig(n=5, p=p)
             xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             ys = -rng.uniform(0.3, 2.0) * pc.duality_map(xb)
-            m = pc.sphere_theta_member(1.0, xb, ys)
-            assert m.verdict is MEMBER
+            m = pc.coderiv_ball(1.0, xb, ys)
+            assert isinstance(m, pc.ThetaMembership) and m.verdict is MEMBER
             names = {c.name: c for c in m.certificates}
             cert = names["y* is a negative multiple of J(xbar)"]
             assert cert.holds and cert.slack <= 1e-8 * pc.norm_dual(ys)
@@ -154,17 +154,10 @@ class TestSphereMembership:
         for ys in cases:
             if pc.norm_dual(ys) <= sp.theta_tol:
                 continue
-            m = pc.sphere_theta_member(1.0, xb, ys)
+            verdict = theta_verdict(pc.coderiv_ball(1.0, xb, ys))
             o_zero = pc.norm_dual(pc.o_star(anchor, ys)) <= 1e-8 * pc.norm_dual(ys)
             expected = MEMBER if (o_zero and pc.pair(ys, xb) < 0.0) else NOT_MEMBER
-            assert m.verdict is expected
-
-    def test_preconditions(self):
-        sp = pc.SpaceConfig(n=2, p=2.0)
-        with pytest.raises(pc.NotOnBoundaryError):
-            pc.sphere_theta_member(1.0, sp.primal([2.0, 0.0]), sp.dual([1.0, 0.0]))
-        with pytest.raises(pc.PreconditionError):
-            pc.sphere_theta_member(1.0, sp.primal([1.0, 0.0]), sp.zero_dual())
+            assert verdict is expected
 
 
 class TestBallBoundaryDispatch:
@@ -195,8 +188,9 @@ class TestBallBoundaryDispatch:
             xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             y1 = -1.0 * pc.duality_map(xb)
             y2 = -2.0 * pc.duality_map(xb)
-            assert pc.sphere_theta_member(1.0, xb, y1).verdict is MEMBER
-            assert pc.sphere_theta_member(1.0, xb, y2).verdict is MEMBER
+            for ys in (y1, y2):
+                m = pc.coderiv_ball(1.0, xb, ys)
+                assert isinstance(m, pc.ThetaMembership) and m.verdict is MEMBER
             assert isinstance(pc.coderiv_ball(1.0, xb, -1.0 * y1), pc.EmptyFiber)
 
 
@@ -247,8 +241,8 @@ class TestCylinder:
             cyl = pc.Cylinder(1.0, mask)
             xb = point_at_norm(sp, cyl, rng, cyl.r)
             ys = -1.0 * pc.mask_restrict(pc.duality_map(xb), mask)
-            m = pc.cylinder_theta_member(1.0, mask, xb, ys)
-            assert m.verdict is MEMBER
+            m = pc.coderiv_cylinder(1.0, mask, xb, ys)
+            assert isinstance(m, pc.ThetaMembership) and m.verdict is MEMBER
             names = {c.name: c for c in m.certificates}
             align = names["y*_M is a negative multiple of J(xbar_M)"]
             assert align.holds
@@ -259,8 +253,8 @@ class TestCylinder:
         cyl = pc.Cylinder(1.0, mask)
         xb = point_at_norm(sp, cyl, rng, cyl.r)
         ys = -1.0 * pc.mask_restrict(pc.duality_map(xb), mask) + sp.dual([0, 0, 0, 1.0])
-        m = pc.cylinder_theta_member(1.0, mask, xb, ys)
-        assert m.verdict is NOT_MEMBER
+        m = pc.coderiv_cylinder(1.0, mask, xb, ys)
+        assert isinstance(m, pc.ThetaMembership) and m.verdict is NOT_MEMBER
         names = {c.name: c for c in m.certificates}
         assert not names["unmasked part of y* vanishes"].holds
 
@@ -299,10 +293,10 @@ def _boundary_and_unit_g(sp, set_, rng):
     return xb, pc.duality_map(pc.mask_restrict((1.0 / set_.r) * xb, mask))
 
 
-def _theta_member(set_, xb, ys):
+def _fiber(set_, xb, ys):
     if isinstance(set_, pc.Ball):
-        return pc.sphere_theta_member(set_.r, xb, ys)
-    return pc.cylinder_theta_member(set_.r, set_.mask, xb, ys)
+        return pc.coderiv_ball(set_.r, xb, ys)
+    return pc.coderiv_cylinder(set_.r, set_.mask, xb, ys)
 
 
 def _radial_set(kind, r):
@@ -321,12 +315,12 @@ class TestSegmentVerdict:
             sp = pc.SpaceConfig(n=5, p=p)
             xb, g = _boundary_and_unit_g(sp, set_, rng)
             for c in (0.5, 1.0, 2.0):
-                assert _theta_member(set_, xb, -c * g).verdict is MEMBER
-                assert _theta_member(set_, xb, c * g).verdict is NOT_MEMBER
+                assert theta_verdict(_fiber(set_, xb, -c * g)) is MEMBER
+                assert theta_verdict(_fiber(set_, xb, c * g)) is NOT_MEMBER
             for _ in range(5):
                 ys = random_dual(sp, rng)
                 ys = (1.0 / pc.norm_dual(ys)) * ys
-                assert _theta_member(set_, xb, ys).verdict is NOT_MEMBER
+                assert theta_verdict(_fiber(set_, xb, ys)) is NOT_MEMBER
 
     @pytest.mark.parametrize("kind", ["ball", "cylinder"])
     def test_verdict_is_the_conjunction_of_its_certificates(self, kind, rng):
@@ -336,7 +330,8 @@ class TestSegmentVerdict:
             xb, g = _boundary_and_unit_g(sp, set_, rng)
             for k in range(-12, -1):
                 for _ in range(3):
-                    m = _theta_member(set_, xb, -1.0 * g + 10.0**k * random_dual(sp, rng))
+                    m = _fiber(set_, xb, -1.0 * g + 10.0**k * random_dual(sp, rng))
+                    assert isinstance(m, pc.ThetaMembership)
                     assert (m.verdict is MEMBER) == all(c.holds for c in m.certificates)
 
     @pytest.mark.parametrize("r", [1e-5, 1.0])

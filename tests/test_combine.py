@@ -4,7 +4,8 @@ kind or from another space with ``DimensionMismatchError``.
 Each call site is crossed with four mismatches: another dimension n, another
 exponent p, other weights, and the other kind (primal for dual or dual for
 primal). The ball and cylinder fibers are tried at interior, exterior and
-boundary base points, since each region takes its own branch. A function
+boundary base points, since each region takes its own branch, and at the
+boundary also with the query -J(xbar), whose fiber holds theta*. A function
 given a single point rejects a point of the wrong kind the same way.
 """
 
@@ -64,8 +65,10 @@ CALLS = {
     "coderiv_cylinder-interior": lambda b: pc.coderiv_cylinder(1.0, MASK, x_in, b(ys)),
     "coderiv_cylinder-exterior": lambda b: pc.coderiv_cylinder(1.0, MASK, x_out, b(ys)),
     "coderiv_cylinder-boundary": lambda b: pc.coderiv_cylinder(1.0, MASK, x_bd, b(ys)),
-    "sphere_theta_member": lambda b: pc.sphere_theta_member(1.0, x_bd, b(-1.0 * ys)),
-    "cylinder_theta_member": lambda b: pc.cylinder_theta_member(
+    "coderiv_ball-boundary-theta": lambda b: pc.coderiv_ball(
+        1.0, x_bd, b(SP.dual([-1.0, 0.0]))
+    ),
+    "coderiv_cylinder-boundary-theta": lambda b: pc.coderiv_cylinder(
         1.0, MASK, x_bd, b(SP.dual([-1.0, 0.0]))
     ),
     "cone_theta_member": lambda b: pc.cone_theta_member(f, b(phi)),

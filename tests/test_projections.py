@@ -102,15 +102,15 @@ class TestRegionClassification:
     def test_ball_examples(self):
         sp = pc.SpaceConfig(n=2, p=2.0)
         ball = pc.Ball(1.0)
-        assert pc.classify_region(ball, sp.primal([0.5, 0.0])).kind is pc.RegionKind.INTERIOR
-        assert pc.classify_region(ball, sp.primal([1.0, 0.0])).kind is pc.RegionKind.BOUNDARY
-        assert pc.classify_region(ball, sp.primal([1.5, 0.0])).kind is pc.RegionKind.EXTERIOR
+        assert pc.classify_region(ball, sp.primal([0.5, 0.0])) is pc.RegionKind.INTERIOR
+        assert pc.classify_region(ball, sp.primal([1.0, 0.0])) is pc.RegionKind.BOUNDARY
+        assert pc.classify_region(ball, sp.primal([1.5, 0.0])) is pc.RegionKind.EXTERIOR
 
     def test_cylinder_ignores_unmasked_coordinates(self):
         sp = pc.SpaceConfig(n=3, p=2.0)
         cyl = pc.Cylinder(1.0, frozenset({0, 1}))
-        assert pc.classify_region(cyl, sp.primal([3.0, 4.0, 7.0])).kind is pc.RegionKind.EXTERIOR
-        assert pc.classify_region(cyl, sp.primal([0.1, 0.1, 99.0])).kind is pc.RegionKind.INTERIOR
+        assert pc.classify_region(cyl, sp.primal([3.0, 4.0, 7.0])) is pc.RegionKind.EXTERIOR
+        assert pc.classify_region(cyl, sp.primal([0.1, 0.1, 99.0])) is pc.RegionKind.INTERIOR
 
     def test_unsupported_variants_raise(self):
         sp = pc.SpaceConfig(n=2, p=2.0)

@@ -29,7 +29,7 @@ class TestBallIsFullMaskCylinder:
                 x = random_primal(sp, rng, scale)
                 v = random_primal(sp, rng)
                 assert np.array_equal(pc.project(ball, x).coords, pc.project(full, x).coords)
-                if pc.classify_region(ball, x).kind is not pc.RegionKind.BOUNDARY:
+                if pc.classify_region(ball, x) is not pc.RegionKind.BOUNDARY:
                     a = pc.frechet_apply(ball, x, v)
                     b = pc.frechet_apply(full, x, v)
                     assert np.array_equal(a.coords, b.coords)
@@ -46,8 +46,9 @@ class TestBallIsFullMaskCylinder:
             xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             jx = pc.duality_map(xb)
             for query in (-0.7 * jx, ys, pc.o_star(pc.Anchor.at(xb), ys)):
-                ball = pc.sphere_theta_member(1.0, xb, query)
-                cyl = pc.cylinder_theta_member(1.0, mask, xb, query)
+                ball = pc.coderiv_ball(1.0, xb, query)
+                cyl = pc.coderiv_cylinder(1.0, mask, xb, query)
+                assert isinstance(ball, pc.ThetaMembership) and isinstance(cyl, pc.ThetaMembership)
                 assert ball.verdict is cyl.verdict
                 # The cylinder lists its unmasked-tail test first; the ball
                 # lists no tail test.
@@ -64,8 +65,8 @@ class TestBallIsFullMaskCylinder:
             xb = point_at_norm(sp, pc.Ball(1.0), rng, 1.0)
             ys = random_dual(sp, rng)
             for query in (-0.7 * pc.duality_map(xb), ys, pc.o_star(pc.Anchor.at(xb), ys)):
-                ball = pc.sphere_theta_member(1.0, xb, query).certificates
-                cyl = pc.cylinder_theta_member(1.0, mask, xb, query).certificates
+                ball = pc.coderiv_ball(1.0, xb, query).certificates
+                cyl = pc.coderiv_cylinder(1.0, mask, xb, query).certificates
                 assert _bits(ball) == _bits(cyl[1:])
 
     def test_zero_direction_is_degenerate_for_every_radial_set(self):
@@ -88,18 +89,11 @@ def test_one_boundary_rule(set_, p):
     v = random_primal(sp, rng)
     for rel, on_boundary in ((0.5e-9, True), (-0.5e-9, True), (2e-9, False), (-2e-9, False)):
         x = point_at_norm(sp, set_, rng, set_.r * (1.0 + rel))
-        region = pc.classify_region(set_, x).kind
+        region = pc.classify_region(set_, x)
         assert (region is pc.RegionKind.BOUNDARY) == on_boundary
-        if isinstance(set_, pc.Ball):
-            theta = lambda: pc.sphere_theta_member(set_.r, x, -pc.duality_map(x))  # noqa: E731
-        else:
-            theta = lambda: pc.cylinder_theta_member(  # noqa: E731
-                set_.r, set_.mask, x, -pc.duality_map(x)
-            )
         boundary_only = (
             (lambda: pc.classify_direction(set_, x, v), "direction classification"),
             (lambda: pc.nonsmoothness_witness(set_, x), "witnesses"),
-            (theta, "theta"),
         )
         for call, message in boundary_only:
             if on_boundary:
@@ -178,12 +172,13 @@ def test_duality_kernels_are_positively_homogeneous(k, p):
             xe = s * edge
             if len(mask) == 4:
                 set_, empty = pc.Ball(s), pc.coderiv_ball(s, xe, pc.duality_map(xe))
-                verdicts = [pc.sphere_theta_member(s, xe, s * q) for q in (-0.7 * jm, ys)]
+                verdicts = [pc.coderiv_ball(s, xe, s * q) for q in (-0.7 * jm, ys)]
             else:
                 set_ = pc.Cylinder(s, mask)
                 empty = pc.coderiv_cylinder(s, mask, xe, pc.duality_map(xe))
-                verdicts = [pc.cylinder_theta_member(s, mask, xe, s * q) for q in (-0.7 * jm, ys)]
+                verdicts = [pc.coderiv_cylinder(s, mask, xe, s * q) for q in (-0.7 * jm, ys)]
             assert isinstance(empty, pc.EmptyFiber)
+            assert all(isinstance(m, pc.ThetaMembership) for m in verdicts)
             holds = [(m.verdict, [c.holds for c in m.certificates]) for m in verdicts]
             results.append((holds, pc.classify_direction(set_, xe, s * v)))
         (h1, c1), (h2, c2) = results

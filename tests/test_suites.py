@@ -25,8 +25,10 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [{"suite": "nope"}, {"p": 1.0}, {"n": 1}, {"mask_density": 0.0}, {"r": 0.0},
-         {"seed": -1}, {"samples": 9}, {"tol_scale": 0.0}, {"weights_mode": "uniform"}],
-        ids=["suite", "p", "n", "mask-density", "r", "seed", "samples", "tol-scale", "weights"],
+         {"seed": -1}, {"samples": 9}, {"tol_scale": 0.0}, {"weights_mode": "uniform"},
+         {"n": 2.0}, {"samples": 32.5}, {"seed": 1.5}],
+        ids=["suite", "p", "n", "mask-density", "r", "seed", "samples", "tol-scale", "weights",
+             "n-float", "samples-float", "seed-float"],
     )
     def test_invalid_field_raises_a_projcalc_error(self, kwargs):
         with pytest.raises(pc.ProjcalcError):
@@ -76,11 +78,11 @@ class TestCoverage:
 
     def test_oracle_crosscheck_declares_the_verdict_ops_its_cases_call(self):
         summary = run_suite(SuiteSpec("oracle-crosscheck", samples=10)).summary
-        called = {"sphere_theta_member", "cylinder_theta_member", "cone_theta_member",
+        called = {"coderiv_ball", "coderiv_cylinder", "cone_theta_member",
                   "quotient_denominator_pair"}
         assert called <= set(summary["ops_covered"])
         assert called <= ALL_OPS
 
     def test_coderiv_cylinder_declares_its_theta_verdict(self):
         summary = run_suite(SuiteSpec("coderiv-cylinder", samples=10)).summary
-        assert "cylinder_theta_member" in summary["ops_covered"]
+        assert "coderiv_cylinder" in summary["ops_covered"]

@@ -18,7 +18,8 @@ which it differs, and counts the status changes. Then names each
 ``summary`` key that differs, with the number of runs in which it differs,
 so a renamed op shows as a change of ``ops_covered`` alone (every run is
 a full one, so ``ops_missing`` stays empty). Last, prints the line count
-of ``src/projcalc/*.py`` in both trees.
+of ``src/projcalc/*.py`` in both trees, and of each file whose count
+differs between them.
 
     python3 tools/report_grid.py --against HEAD~1
 """
@@ -76,8 +77,10 @@ COMMANDS = [
 ]
 
 
-def _src_lines(tree: Path) -> int:
-    return sum(len(f.read_text().splitlines()) for f in (tree / "src" / "projcalc").glob("*.py"))
+def _src_lines(tree: Path) -> dict[str, int]:
+    """The line count of each ``src/projcalc/*.py`` file, by file name."""
+    return {f.name: len(f.read_text().splitlines())
+            for f in (tree / "src" / "projcalc").glob("*.py")}
 
 
 def _cli(tree: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -170,7 +173,13 @@ def main(argv=None) -> int:
     print(f"{sum(r[3] for r in runs)} case status changes over {len(runs)} runs")
     for key, count in sorted(collections.Counter(k for r in runs for k in r[4]).items()):
         print(f"  summary.{key} differs in {count}/{len(runs)} runs")
-    print(f"src/projcalc/*.py: {old_lines} lines at {args.against}, {_src_lines(ROOT)} here")
+    new_lines = _src_lines(ROOT)
+    print(f"src/projcalc/*.py: {sum(old_lines.values())} lines at {args.against}, "
+          f"{sum(new_lines.values())} here")
+    for name in sorted(old_lines.keys() | new_lines.keys()):
+        if old_lines.get(name) != new_lines.get(name):
+            print(f"  {name}: {old_lines.get(name, 0)} lines at {args.against}, "
+                  f"{new_lines.get(name, 0)} here")
     return 1 if differ or raising_differ or cli_differ else 0
 
 
