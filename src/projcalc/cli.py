@@ -169,7 +169,7 @@ def _cmd_run(args) -> int:
     summary = report.summary
     sys.stderr.write(
         f"{report.suite}: {summary['passed']}/{summary['total']} passed, "
-        f"{summary['failed']} failed, {summary['undetermined']} undetermined\n"
+        f"{summary['failed']} failed\n"
     )
     return 0 if summary["failed"] == 0 else 1
 

@@ -80,8 +80,8 @@ class OracleConfig:
         if not _is_int(self.directions_per_radius) or self.directions_per_radius < 0:
             raise PreconditionError(
                 f"direction count must be a nonnegative integer, got {self.directions_per_radius!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise PreconditionError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise PreconditionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
     change the draws and they form a prefix in m. Rows of norm <= theta_tol
     are dropped.
     """
-    bg = np.random.Philox(key=seed & (2**64 - 1), counter=[0, 0, radius_idx, 0])
+    bg = np.random.Philox(key=seed, counter=[0, 0, radius_idx, 0])
     return _unit_rows(sp, np.random.Generator(bg).standard_normal((m, sp.n)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 class CaseResult:
     case_id: str
     property: str
-    status: str  # "pass" | "fail" | "undetermined"
+    status: str  # "pass" | "fail"
     metrics: dict[str, float] = field(default_factory=dict)
     witness: list[float] | None = None
     repro: str = ""
@@ -39,13 +39,11 @@ class Report:
 def build_summary(cases: list[CaseResult], ops_used: set[str], all_ops: set[str]) -> dict:
     passed = sum(1 for c in cases if c.status == "pass")
     failed = sum(1 for c in cases if c.status == "fail")
-    undet = sum(1 for c in cases if c.status == "undetermined")
     missing = sorted(all_ops - ops_used)
     return {
         "total": len(cases),
         "passed": passed,
         "failed": failed,
-        "undetermined": undet,
         "ops_covered": sorted(ops_used),
         "ops_missing": missing,
         "coverage_complete": not missing,

@@ -96,8 +96,8 @@ class SuiteSpec:
             raise PreconditionError("mask density must lie in (0, 1]")
         if not (0.0 < self.r < np.inf):
             raise PreconditionError(f"radius must be positive and finite, got {self.r}")
-        if not spc._is_int(self.seed) or self.seed < 0:
-            raise PreconditionError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not spc._is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise PreconditionError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not spc._is_int(self.samples) or self.samples < 10:
             raise PreconditionError(f"sample count must be an integer >= 10, got {self.samples!r}")
         if not (0.0 < self.tol_scale < np.inf):
@@ -300,7 +300,8 @@ def _convergence(env: Env):
             max(abs(dec.a_coef(anchor, u) - 1.0), spc.norm_primal(dec.o_part(anchor, u)))
         )
     monotone = all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
-    return monotone and gaps[-1] <= 1e-5, {"final_gap": gaps[-1]}
+    # The gap is t max(|a(w)|, |o(w)|) <= 2t|w| at the last step t = 1e-6.
+    return monotone and gaps[-1] <= 1e-5 * max(1.0, spc.norm_primal(w)), {"final_gap": gaps[-1]}
 
 
 @_case("decomposition/tangential-ratio",
@@ -541,15 +542,17 @@ def _transpose_gap(jac, fiber, ys):
     return spc.norm_dual(fiber.value - want) / max(1.0, spc.norm_dual(ys))
 
 
-def _theta_in(fiber) -> bool:
-    """Whether theta* lies in a ball or cylinder fiber: the verdict of a
-    ``ThetaMembership``, never in an ``EmptyFiber``, and in ``Singleton(v)``
-    iff v has no nonzero coordinate."""
+def _member(fiber, xs) -> bool:
+    """Whether x* lies in a closed-form fiber: ``Singleton(v)`` holds it iff
+    x* equals v, a ``Box`` or an ``EmptyFiber`` answers by ``contains``, and a
+    ``ThetaMembership`` answers only for x* = theta*, by its verdict."""
+    if isinstance(fiber, cd.Singleton):
+        return bool(np.array_equal(fiber.value.coords, xs.coords))
     if isinstance(fiber, cd.ThetaMembership):
+        if xs.coords.any():
+            raise PreconditionError("a ThetaMembership answers only for theta*")
         return fiber.verdict is cd.Verdict.MEMBER
-    if isinstance(fiber, cd.EmptyFiber):
-        return False
-    return not fiber.value.coords.any()
+    return cd.contains(fiber, xs).holds
 
 
 @_case("coderiv-ball/adjoint-identity", "<fiber value, v> = <y*, dP v> at differentiable points")
@@ -587,9 +590,9 @@ def _ball_boundary_dispatch(env: Env):
     jx = spc.duality_map(xb)
     zero_ok = isinstance(cd.coderiv_ball(r, xb, sp.zero_dual()), cd.Singleton)
     empty_ok = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
-    member = _theta_in(cd.coderiv_ball(r, xb, -1.0 * jx))
+    member = _member(cd.coderiv_ball(r, xb, -1.0 * jx), sp.zero_dual())
     ortho = dec.o_star(dec.Anchor.at(xb), _rand_dual(sp, rng))
-    not_member = not _theta_in(cd.coderiv_ball(r, xb, ortho))
+    not_member = not _member(cd.coderiv_ball(r, xb, ortho), sp.zero_dual())
     return zero_ok and empty_ok and member and not_member, {
         "zero_ok": float(zero_ok),
         "empty_ok": float(empty_ok),
@@ -617,7 +620,7 @@ def _hilbert_grid(env: Env):
         if spc.norm_dual(ys) == 0.0:
             agreements += 1
             continue
-        member = _theta_in(cd.coderiv_ball(r, xb, ys))
+        member = _member(cd.coderiv_ball(r, xb, ys), sp.zero_dual())
         o_zero = spc.norm_dual(dec.o_star(anchor, ys)) <= 1e-8 * spc.norm_dual(ys)
         agreements += int(member == (o_zero and spc.pair(ys, xb) < 0.0))
     return agreements == 20, {"agreements": agreements}
@@ -629,8 +632,8 @@ def _fiber_nonlinearity(env: Env):
     sp, rng, ball, r = env.sp, env.rng, env.ball, env.spec.r
     xb = point_at_norm(sp, ball, rng, ball.r)
     jx = spc.duality_map(xb)
-    m1 = _theta_in(cd.coderiv_ball(r, xb, -1.0 * jx))
-    m2 = _theta_in(cd.coderiv_ball(r, xb, -2.0 * jx))
+    m1 = _member(cd.coderiv_ball(r, xb, -1.0 * jx), sp.zero_dual())
+    m2 = _member(cd.coderiv_ball(r, xb, -2.0 * jx), sp.zero_dual())
     empty = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
     return m1 and m2 and empty, {"m1": float(m1), "m2": float(m2), "empty": float(empty)}
 
@@ -661,15 +664,15 @@ def _cylinder_boundary_iff(env: Env):
     ok = True
     xb = point_at_norm(sp, cyl, rng, cyl.r)
     jm = pj.mask_restrict(spc.duality_map(xb), mask)
-    ok &= _theta_in(cd.coderiv_cylinder(r, mask, xb, -1.0 * jm))
+    ok &= _member(cd.coderiv_cylinder(r, mask, xb, -1.0 * jm), sp.zero_dual())
     comp = pj.mask_complement(mask, sp.n)
     if comp:
         tail = sp.dual(np.eye(sp.n)[sorted(comp)[0]])
         # The tail is half the member query's norm, which need not be of the
         # order of r: xbar's unmasked part is drawn at unit scale.
         bad = -1.0 * jm + 0.5 * spc.norm_dual(jm) * tail
-        ok &= not _theta_in(cd.coderiv_cylinder(r, mask, xb, bad))
-    ok &= not _theta_in(cd.coderiv_cylinder(r, mask, xb, jm))
+        ok &= not _member(cd.coderiv_cylinder(r, mask, xb, bad), sp.zero_dual())
+    ok &= not _member(cd.coderiv_cylinder(r, mask, xb, jm), sp.zero_dual())
     ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, spc.duality_map(xb)), cd.EmptyFiber)
     ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, sp.zero_dual()), cd.Singleton)
     return bool(ok), {"ok": float(ok)}
@@ -771,119 +774,114 @@ def _denominator_equivalence(env: Env):
     return ok, {"max_ratio": worst_hi, "min_ratio": worst_lo}
 
 
-@_case("oracle/singleton-soundness",
-       "every closed-form singleton passes the sampled membership test")
-def _singleton_soundness(env: Env):
-    sp, rng, mask, ball, cyl, r = env.sp, env.rng, env.mask, env.ball, env.cyl, env.spec.r
-    cfg = env.cfg
-    ok = True
-    worst = -np.inf
+def _closed_form(set_, xb, ys):
+    """The closed-form fiber of y* at xbar for any of the three sets."""
+    if isinstance(set_, pj.PositiveCone):
+        return cd.cone_fiber(xb, ys)
+    if isinstance(set_, pj.Cylinder):
+        return cd.coderiv_cylinder(set_.r, set_.mask, xb, ys)
+    return cd.coderiv_ball(set_.r, xb, ys)
+
+
+def _offset(sp, coords):
+    """The dual point along coords at dual norm 0.5, 50 times the oracle's
+    reject threshold: an absolute offset, since the oracle radii are absolute."""
+    d = sp.dual(coords)
+    return (0.5 / spc.norm_dual(d)) * d
+
+
+def _regime_rows(env: Env) -> list[tuple]:
+    """The regime table: rows (set, xbar, x*, y*, member) asking whether x*
+    lies in the fiber of y* at xbar; the closed form and the oracle must both
+    answer ``member``."""
+    sp, rng, ball, cyl, cone, r = env.sp, env.rng, env.ball, env.cyl, env.cone, env.spec.r
+    zero = sp.zero_dual()
+    rows = []
+    # A singleton holds its value, and nothing next to it.
     for set_, target in ((ball, 0.5 * r), (ball, 1.8 * r), (cyl, 0.5 * r), (cyl, 1.8 * r)):
-        x = point_at_norm(sp, set_, rng, target)
-        ys = _rand_dual(sp, rng)
-        if isinstance(set_, pj.Ball):
-            res = cd.coderiv_ball(r, x, ys)
-        else:
-            res = cd.coderiv_cylinder(r, mask, x, ys)
-        v = oc.test_membership(set_, x, res.value, ys, cfg)
-        ok &= isinstance(v, oc.NotRejected)
-        if isinstance(v, oc.NotRejected):
-            worst = max(worst, v.max_quotient_per_radius[-1])
-    return bool(ok) and worst <= cfg.accept_threshold, {"worst_final_quotient": worst}
-
-
-@_case("oracle/empty-fiber-rejection",
-       "the J(xbar) query rejects every candidate, with a base-ray witness")
-def _empty_fiber_rejection(env: Env):
-    sp, rng, cfg = env.sp, env.rng, env.cfg
-    ok = True
-    worst_ray = np.inf
-    witness = None
-    for set_ in (env.ball, env.cyl):
+        x, ys = point_at_norm(sp, set_, rng, target), _rand_dual(sp, rng)
+        value = _closed_form(set_, x, ys).value
+        rows.append((set_, x, value, ys, True))
+        rows.append((set_, x, value + _offset(sp, np.eye(sp.n)[rng.integers(sp.n)]), ys, False))
+    # The J(xbar) query at a boundary point has an empty fiber.
+    for set_ in (ball, cyl):
         xb = point_at_norm(sp, set_, rng, set_.r)
-        jx = spc.duality_map(xb)
-        ray = sp.primal(np.where(pj._radial(set_, sp.n)[1], xb.coords, 0.0))
-        for _ in range(3):
-            xs = _rand_dual(sp, rng)
-            v = oc.test_membership(set_, xb, xs, jx, cfg)
-            ok &= isinstance(v, oc.RejectedWithWitness)
-            if isinstance(v, oc.RejectedWithWitness):
-                witness = v.u.coords
-            best = max(
-                oc.coderiv_quotient(set_, xb, xs, jx, xb + s * ray)
-                for s in (-1e-4, 1e-4)
-            )
-            worst_ray = min(worst_ray, best)
-    ok = bool(ok) and worst_ray >= cfg.reject_threshold
-    return ok, {"worst_base_ray_quotient": worst_ray}, witness
-
-
-@_case("oracle/theta-membership-grid",
-       "analytic theta* verdicts match sampled verdicts on members and non-members")
-def _theta_membership_grid(env: Env):
-    sp, rng, mask, ball, cyl, r = env.sp, env.rng, env.mask, env.ball, env.cyl, env.spec.r
-    cfg = env.cfg
-    ok = True
+        rows.append((set_, xb, _rand_dual(sp, rng), spc.duality_map(xb), False))
+    # theta* at a boundary point: the aligned query holds it, J(xbar) and a
+    # tangential query do not, nor does the cylinder query with an unmasked tail.
     xb = point_at_norm(sp, ball, rng, ball.r)
     jx = spc.duality_map(xb)
-    anchor = dec.Anchor.at(xb)
-    members = [-0.7 * jx, -1.5 * jx]
-    nonmembers = [jx, dec.o_star(anchor, _rand_dual(sp, rng))]
-    for ys in members:
-        analytic = _theta_in(cd.coderiv_ball(r, xb, ys))
-        sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
-        ok &= analytic and isinstance(sampled, oc.NotRejected)
-    for ys in nonmembers:
-        if spc.norm_dual(ys) == 0.0:
-            continue
-        analytic = not _theta_in(cd.coderiv_ball(r, xb, ys))
-        sampled = oc.test_membership(ball, xb, sp.zero_dual(), ys, cfg)
-        ok &= analytic and isinstance(sampled, oc.RejectedWithWitness)
+    rows.append((ball, xb, zero, -float(rng.uniform(0.5, 1.5)) * jx, True))
+    rows.append((ball, xb, zero, jx, False))
+    ortho = dec.o_star(dec.Anchor.at(xb), _rand_dual(sp, rng))
+    rows.append((ball, xb, zero, _offset(sp, ortho.coords), False))
     xc = point_at_norm(sp, cyl, rng, cyl.r)
-    jm = pj.mask_restrict(spc.duality_map(xc), mask)
-    analytic = _theta_in(cd.coderiv_cylinder(r, mask, xc, -1.0 * jm))
-    sampled = oc.test_membership(cyl, xc, sp.zero_dual(), -1.0 * jm, cfg)
-    ok &= analytic and isinstance(sampled, oc.NotRejected)
-    return bool(ok), {"ok": float(ok)}
-
-
-@_case("oracle/cone-crosscheck",
-       "cone fibers: image membership, zero-fiber rejection, interval bounds")
-def _cone_crosscheck(env: Env):
-    sp, rng, cone, cfg = env.sp, env.rng, env.cone, env.cfg
-    ok = True
+    jm = pj.mask_restrict(spc.duality_map(xc), env.mask)
+    rows.append((cyl, xc, zero, -1.0 * jm, True))
+    comp = pj.mask_complement(env.mask, sp.n)
+    if comp:
+        rows.append((cyl, xc, zero, _offset(sp, np.eye(sp.n)[min(comp)]) - jm, False))
+    # The cone box at a positive point, a negative point and the origin.
     f = sp.primal(np.abs(rng.standard_normal(sp.n)) + 0.1)
     jf = spc.duality_map(f)
-    ok &= isinstance(oc.test_membership(cone, f, jf, jf, cfg), oc.NotRejected)
-    ok &= isinstance(
-        oc.test_membership(cone, f, sp.zero_dual(), jf, cfg), oc.RejectedWithWitness
-    )
+    rows.append((cone, f, jf, jf, True))
+    rows.append((cone, f, zero, jf, False))
     neg = sp.primal(-np.abs(rng.standard_normal(sp.n)) - 0.1)
     phi = sp.dual(np.abs(rng.standard_normal(sp.n)))
-    ok &= isinstance(
-        oc.test_membership(cone, neg, sp.zero_dual(), phi, cfg), oc.NotRejected
-    )
-    # A negative query at a negative point: the box there is {0}.
-    flipped = sp.dual(-phi.coords)
-    ok &= cd.cone_theta_member(neg, flipped).verdict is cd.Verdict.MEMBER
-    ok &= isinstance(
-        oc.test_membership(cone, neg, sp.zero_dual(), flipped, cfg), oc.NotRejected
-    )
-    theta = sp.zero_primal()
+    rows.append((cone, neg, zero, phi, True))
+    rows.append((cone, neg, zero, -1.0 * phi, True))
     psi = sp.dual(np.abs(rng.standard_normal(sp.n)) + 0.2)
-    inside = sp.dual(rng.uniform(0.0, 1.0, sp.n) * psi.coords)
-    ok &= isinstance(oc.test_membership(cone, theta, inside, psi, cfg), oc.NotRejected)
-    bc = inside.coords.copy()
-    bc[0] = -0.4
-    ok &= isinstance(
-        oc.test_membership(cone, theta, sp.dual(bc), psi, cfg), oc.RejectedWithWitness
-    )
-    above = psi.coords.copy()
-    above[-1] += 0.5
-    ok &= isinstance(
-        oc.test_membership(cone, theta, sp.dual(above), psi, cfg), oc.RejectedWithWitness
-    )
-    return bool(ok), {"ok": float(ok)}
+    inside = rng.uniform(0.0, 1.0, sp.n) * psi.coords
+    below, above = inside.copy(), psi.coords.copy()
+    below[0], above[-1] = -0.4, above[-1] + 0.5
+    for xs, member in ((inside, True), (below, False), (above, False)):
+        rows.append((cone, sp.zero_primal(), sp.dual(xs), psi, member))
+    # A mixed-sign point, coordinate i positive, zero or negative by i mod 3:
+    # theta* is a member, and not once phi != 0 at a positive coordinate or
+    # phi < 0 at a zero one.
+    sign = np.array([1.0, 0.0, -1.0])[np.arange(sp.n) % 3]
+    g = sp.primal(sign * (np.abs(rng.standard_normal(sp.n)) + 0.1))
+    z = rng.standard_normal(sp.n)
+    m = np.where(sign > 0.0, 0.0, np.where(sign < 0.0, z, np.abs(z)))
+    e0, e1 = np.eye(sp.n)[:2]
+    rows.append((cone, g, zero, sp.dual(m), True))
+    rows.append((cone, g, zero, sp.dual(m) + _offset(sp, e0), False))
+    rows.append((cone, g, zero, sp.dual(np.where(e1 > 0.0, 0.0, m)) - _offset(sp, e1), False))
+    return rows
+
+
+def _base_ray_ratio(set_, xb, xs, ys) -> float:
+    """The larger quotient at xbar -/+ 1e-4 xbar_M over its floor c/3: with
+    y* = J(xbar) it is exactly max(a, (c - a)/2), a = <x*, xbar_M>/|xbar_M|
+    and c = <y*, xbar_M>/|xbar_M|, and c falls like |xbar|^(2-p)."""
+    sp = xb.space
+    ray = sp.primal(np.where(pj._radial(set_, sp.n)[1], xb.coords, 0.0))
+    best = max(oc.coderiv_quotient(set_, xb, xs, ys, xb + s * ray) for s in (-1e-4, 1e-4))
+    return best / (spc.pair(ys, ray) / spc.norm_primal(ray) / 3.0)
+
+
+@_case("oracle/regime-table",
+       "closed-form fiber membership and the sampled verdict agree on every regime")
+def _regime_table(env: Env):
+    rows = _regime_rows(env)
+    closed_bad = oracle_bad = 0
+    finals = {True: [-np.inf], False: [np.inf]}  # last-radius maxima of members, non-members
+    worst_ray = np.inf
+    for set_, xb, xs, ys, member in rows:
+        fiber = _closed_form(set_, xb, ys)
+        verdict = oc.test_membership(set_, xb, xs, ys, env.cfg)
+        closed_bad += _member(fiber, xs) != member
+        oracle_bad += isinstance(verdict, oc.NotRejected) != member
+        finals[member].append(verdict.max_quotient_per_radius[-1])
+        if isinstance(fiber, cd.EmptyFiber) and not isinstance(set_, pj.PositiveCone):
+            worst_ray = min(worst_ray, _base_ray_ratio(set_, xb, xs, ys))
+    worst_member = max(finals[True])
+    # The ratio is >= 1 in exact arithmetic; the margin covers rounding.
+    ok = (closed_bad == oracle_bad == 0 and worst_member <= env.cfg.accept_threshold
+          and worst_ray >= 1.0 - 1e-6)
+    return ok, {"rows": len(rows), "closed_form_mismatches": closed_bad,
+                "oracle_mismatches": oracle_bad, "worst_member_quotient": worst_member,
+                "least_non_member_quotient": min(finals[False]), "worst_base_ray_ratio": worst_ray}
 
 
 # -- the table -----------------------------------------------------------------
@@ -960,9 +958,8 @@ SUITES = {
     "oracle-crosscheck": Suite(
         tag=8,
         ops=("coderiv_quotient", "quotient_denominator_pair", "test_membership", "coderiv_ball",
-             "coderiv_cylinder", "cone_theta_member"),
-        cases=(_denominator_equivalence, _singleton_soundness, _empty_fiber_rejection,
-               _theta_membership_grid, _cone_crosscheck),
+             "coderiv_cylinder", "cone_fiber", "contains"),
+        cases=(_denominator_equivalence, _regime_table),
     ),
 }
 

@@ -38,9 +38,10 @@ class TestConfigValidation:
         [{"radii": (1e-1,)}, {"radii": (1e-1, math.nan)}, {"radii": (1e-2, 1e-1)},
          {"reject_threshold": math.inf}, {"reject_threshold": 1e-4, "accept_threshold": 1e-3},
          {"accept_threshold": -1e-3}, {"directions_per_radius": -1},
-         {"directions_per_radius": 2.5}, {"seed": 1.5}, {"seed": -1}],
+         {"directions_per_radius": 2.5}, {"seed": 1.5}, {"seed": -1}, {"seed": 2**64}],
         ids=["one-radius", "radius-nan", "increasing-radii", "reject-inf", "reject-below-accept",
-             "accept-negative", "directions", "directions-float", "seed-float", "seed-negative"],
+             "accept-negative", "directions", "directions-float", "seed-float", "seed-negative",
+             "seed-2-64"],
     )
     def test_invalid_field_raises_a_projcalc_error(self, kwargs):
         with pytest.raises(pc.ProjcalcError):

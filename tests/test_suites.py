@@ -8,6 +8,7 @@ import shlex
 import pytest
 
 import projcalc as pc
+from projcalc import oracle
 from projcalc.cli import main
 from projcalc.suites import ALL_OPS, SUITES, SuiteSpec, run_suite
 
@@ -26,9 +27,9 @@ class TestSpecValidation:
         "kwargs",
         [{"suite": "nope"}, {"p": 1.0}, {"n": 1}, {"mask_density": 0.0}, {"r": 0.0},
          {"seed": -1}, {"samples": 9}, {"tol_scale": 0.0}, {"weights_mode": "uniform"},
-         {"n": 2.0}, {"samples": 32.5}, {"seed": 1.5}],
+         {"n": 2.0}, {"samples": 32.5}, {"seed": 1.5}, {"seed": 2**64}],
         ids=["suite", "p", "n", "mask-density", "r", "seed", "samples", "tol-scale", "weights",
-             "n-float", "samples-float", "seed-float"],
+             "n-float", "samples-float", "seed-float", "seed-2-64"],
     )
     def test_invalid_field_raises_a_projcalc_error(self, kwargs):
         with pytest.raises(pc.ProjcalcError):
@@ -48,7 +49,7 @@ def test_every_repro_line_reproduces_its_case(tmp_path, capsys):
         tmp_path, "full.json",
     )
     assert code == 0
-    assert len(full["cases"]) == 38
+    assert len(full["cases"]) == 35
     for i, case in enumerate(full["cases"]):
         argv = shlex.split(case["repro"])
         assert argv[:2] == ["projcalc", "run"]
@@ -58,6 +59,30 @@ def test_every_repro_line_reproduces_its_case(tmp_path, capsys):
         for key in ("id", "status", "metrics", "witness", "property", "repro"):
             assert got[key] == case[key], (case["id"], key)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--suite", "oracle-crosscheck", "--p", "10", "--seed", "8"],
+     ["--suite", "decomposition", "--p", "1.1", "--seed", "10"]],
+    ids=["base-ray-floor-at-p10", "convergence-gap-at-p1.1"],
+)
+def test_bounds_follow_the_data_scale(tmp_path, capsys, argv):
+    # Both runs used to fail on working code: the base-ray quotient was held
+    # to the reject threshold, not to its floor c/3, and the convergence gap
+    # to 1e-5, not to 1e-5 max(1, |w|).
+    code, report = _run(["run", *argv, "--weights", "random", "--samples", "10"],
+                        tmp_path, "report.json")
+    capsys.readouterr()
+    assert code == 0, [c for c in report["cases"] if c["status"] != "pass"]
+
+
+def test_oracle_crosscheck_asks_the_oracle_at_most_25_times(monkeypatch):
+    calls = []
+    ask = oracle.test_membership
+    monkeypatch.setattr(oracle, "test_membership", lambda *a: calls.append(a) or ask(*a))
+    run_suite(SuiteSpec("oracle-crosscheck", samples=10))
+    assert len(calls) <= 25
 
 
 class TestCoverage:
@@ -78,7 +103,7 @@ class TestCoverage:
 
     def test_oracle_crosscheck_declares_the_verdict_ops_its_cases_call(self):
         summary = run_suite(SuiteSpec("oracle-crosscheck", samples=10)).summary
-        called = {"coderiv_ball", "coderiv_cylinder", "cone_theta_member",
+        called = {"coderiv_ball", "coderiv_cylinder", "cone_fiber", "contains",
                   "quotient_denominator_pair"}
         assert called <= set(summary["ops_covered"])
         assert called <= ALL_OPS

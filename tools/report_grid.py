@@ -1,8 +1,9 @@
 """Byte-identity check of `projcalc run --suite all` reports against a revision.
 
-Runs the full suite on a fixed grid -- seeds {0, 7, 123} x p in {1.5, 2, 3, 7}
-x weights {ones, random} x samples {32, 100}, 48 runs -- once in the working
-tree and once in a ``git archive`` export of REV. Compares each run's exit
+Runs the full suite on a fixed grid -- seeds {0, 7, 123} x p in {1.1, 1.5, 2,
+3, 7, 10}, the ends of the declared domain included, x weights {ones, random}
+x samples {32, 100}, 72 runs -- once in the working tree and once in a
+``git archive`` export of REV. Compares each run's exit
 code and its report with the timestamp line removed. Compares the same way
 six runs at radii where some cases raise, ``--samples 10`` with ``--r``
 1e-170, 1e-20, 1e20 and 1e170, and with ``--p 1.5 --r`` 1e-170 and 1e160,
@@ -40,7 +41,8 @@ from pathlib import Path
 from bench_pairs import ROOT, _export
 
 GRID = list(
-    itertools.product((0, 7, 123), ("1.5", "2", "3", "7"), ("ones", "random"), (32, 100))
+    itertools.product((0, 7, 123), ("1.1", "1.5", "2", "3", "7", "10"), ("ones", "random"),
+                      (32, 100))
 )
 
 # The fields of a report case that count as a change; ``repro`` and
