@@ -328,19 +328,19 @@ class TestUsageErrors:
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
         assert exc.value.code.startswith(prefix) and "seed" in exc.value.code
 
-    @pytest.mark.parametrize("command", ["run", "oracle"])
-    def test_seed_of_2_to_the_64_prints_one_error_line(self, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--suite", "space-identities", "--seed"],
+         ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]", "--ystar", "[0,1]",
+          "--oracle-seed"]],
+        ids=["run", "oracle"],
+    )
+    def test_seed_of_2_to_the_64_prints_one_error_line(self, argv):
         # Philox takes a 64-bit key, so a larger seed would alias a smaller one.
-        if command == "oracle":
-            argv = ["oracle", "--set", "ball", "--point", "[2,0]", "--xstar", "[0,0]",
-                    "--ystar", "[0,1]", "--oracle-seed", str(2**64)]
-        else:
-            argv = ["run", "--suite", "space-identities", "--seed", str(2**64)]
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([*argv, str(2**64)])
         assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
-        assert exc.value.code.startswith(f"invalid {'oracle' if command == 'oracle' else 'suite'}")
-        assert "seed" in exc.value.code
+        assert exc.value.code.startswith("invalid ") and "seed" in exc.value.code
 
     def test_overflowing_oracle_query_prints_one_error_line(self):
         import os
