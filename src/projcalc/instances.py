@@ -134,6 +134,13 @@ def _target_norm(regime: str, r: float, rng: np.random.Generator) -> float:
 def sample_in_set(
     set_: ConvexSet, space: SpaceConfig, rng: np.random.Generator, count: int
 ) -> list[PrimalPoint]:
+    """``count`` feasible competitor samples: the rows of ``_sample_rows`` as points."""
+    return [PrimalPoint(c, space) for c in _sample_rows(set_, space, rng, count)]
+
+
+def _sample_rows(
+    set_: ConvexSet, space: SpaceConfig, rng: np.random.Generator, count: int
+) -> np.ndarray:
     """``count`` feasible competitor samples, drawn as one (count, n) block.
 
     Every set draws one ``standard_normal((count, n))`` block. A ball or
@@ -147,17 +154,15 @@ def sample_in_set(
         raise PreconditionError(f"the number of samples must be nonnegative, got {count}")
     n = space.n
     if isinstance(set_, PositiveCone):
-        coords = np.abs(rng.standard_normal((count, n)))
-    elif isinstance(set_, CoordSubspace):
-        coords = np.where(_mask_array(set_.mask, n), rng.standard_normal((count, n)), 0.0)
-    elif not isinstance(set_, (Ball, Cylinder)):
+        return np.abs(rng.standard_normal((count, n)))
+    if isinstance(set_, CoordSubspace):
+        return np.where(_mask_array(set_.mask, n), rng.standard_normal((count, n)), 0.0)
+    if not isinstance(set_, (Ball, Cylinder)):
         raise UnsupportedSetError(f"unknown set variant {set_!r}")
-    else:
-        r, sel = _radial(set_, n)
-        block = rng.standard_normal((count, n))
-        fracs = rng.uniform(0.0, 1.0, count)
-        nrm = _masked_norm(space, sel, block)
-        live = nrm > space.theta_tol
-        scaled = (r * fracs / np.where(live, nrm, 1.0))[:, np.newaxis] * block
-        coords = np.where(sel, np.where(live[:, np.newaxis], scaled, 0.0), block)
-    return [PrimalPoint(c, space) for c in coords]
+    r, sel = _radial(set_, n)
+    block = rng.standard_normal((count, n))
+    fracs = rng.uniform(0.0, 1.0, count)
+    nrm = _masked_norm(space, sel, block)
+    live = nrm > space.theta_tol
+    scaled = (r * fracs / np.where(live, nrm, 1.0))[:, np.newaxis] * block
+    return np.where(sel, np.where(live[:, np.newaxis], scaled, 0.0), block)

@@ -21,7 +21,8 @@ Each radius has a block of unit directions: the structured probes, then
 the random rows. The random rows come from one counter-based Philox block
 per (seed, radius index), so the draws do not depend on evaluation order,
 and the m rows drawn for m directions are the first m rows drawn for any
-larger count. The probe points of every radius are stacked into one block
+larger count. The random rows of every radius are unitized in one
+row-norm pass. The probe points of every radius are stacked into one block
 and the quotient is one array pass over it; each radius then takes the
 first maximum of its own rows.
 """
@@ -195,26 +196,27 @@ def structured_probes(
     rays += list(np.eye(sp.n))
     rays = np.array(rays)
     raw = np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
-    return _unit_rows(sp, raw)
+    return _unit_rows(sp, raw)[0]
 
 
-def _unit_rows(sp, raw: np.ndarray) -> np.ndarray:
-    """The rows of a (k, n) block scaled to unit norm in one row-norm pass;
-    rows of norm <= theta_tol are dropped."""
+def _unit_rows(sp, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (..., n) block scaled to unit norm in one row-norm pass,
+    as a (k, n) array, and the boolean (...) array of the rows kept: rows of
+    norm <= theta_tol are dropped before anything is divided."""
     nrm = _norm(raw, sp.weights, sp.p)
     keep = nrm > sp.theta_tol
-    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]
+    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis], keep
 
 
 def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
-    """Up to m seeded random unit rows for one radius, as a (k, n) array.
+    """The m raw standard normal rows of one radius, as an (m, n) array.
 
     One Philox block per (seed, radius index), so evaluation order cannot
-    change the draws and they form a prefix in m. Rows of norm <= theta_tol
-    are dropped.
+    change the draws and they form a prefix in m. ``test_membership``
+    unitizes the rows of every radius in one pass.
     """
     bg = np.random.Philox(key=seed, counter=[0, 0, radius_idx, 0])
-    return _unit_rows(sp, np.random.Generator(bg).standard_normal((m, sp.n)))
+    return np.random.Generator(bg).standard_normal((m, sp.n))
 
 
 def test_membership(
@@ -233,10 +235,12 @@ def test_membership(
     if not len(fixed) and cfg.directions_per_radius == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
-    blocks = [
-        np.vstack([fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)])
-        for ri in range(len(cfg.radii))
-    ]
+    draws = np.stack([_random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)
+                      for ri in range(len(cfg.radii))])
+    rand, keep = _unit_rows(sp, draws)
+    # The kept random rows of radius i follow those of the radii before it.
+    cuts = np.cumsum(keep.sum(axis=1))[:-1]
+    blocks = [np.vstack([fixed, rows]) for rows in np.split(rand, cuts)]
     # Radius i owns rows bounds[i]:bounds[i + 1] of the one stacked block.
     bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
     spans = list(zip(bounds, bounds[1:]))

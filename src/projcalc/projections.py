@@ -22,6 +22,7 @@ list of feasible competitors.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,7 @@ from .errors import (
     PreconditionError,
     UnsupportedSetError,
 )
-from .space import PrimalPoint, _expect, _norm, _pair, duality_map, is_theta
+from .space import PrimalPoint, _duality, _expect, _norm, _pair
 
 # Boundary band, relative to the radius. Boundary cases are constructed
 # exactly in tests, so the band only has to absorb rounding.
@@ -109,11 +110,18 @@ def mask_complement(mask: frozenset[int], n: int) -> frozenset[int]:
     return frozenset(range(n)) - mask
 
 
+@functools.lru_cache(maxsize=256)
 def _mask_array(mask: frozenset[int], n: int) -> np.ndarray:
+    """The mask as a read-only boolean array of length n, cached by (mask, n).
+
+    A mask with an index out of range raises on every call: the cache
+    stores no exceptions.
+    """
     check_mask(mask, n)
     sel = np.zeros(n, dtype=bool)
     if mask:
         sel[sorted(mask)] = True
+    sel.setflags(write=False)
     return sel
 
 
@@ -131,7 +139,7 @@ def _radial(set_: Ball | Cylinder, n: int) -> tuple[float, np.ndarray]:
     so every sum rounds as it would over the full coordinate vector.
     """
     if isinstance(set_, Ball):
-        return set_.r, np.ones(n, dtype=bool)
+        return set_.r, _mask_array(frozenset(range(n)), n)
     if isinstance(set_, Cylinder):
         return set_.r, _mask_array(set_.mask, n)
     raise UnsupportedSetError(f"this operation needs a ball or cylinder, got {set_!r}")
@@ -242,16 +250,23 @@ def variational_residual(
 
     A value >= -tol is consistent with u being the projection of x; a
     clearly negative value certifies that it is not. Every sample must lie
-    in the set and in the space of x. The competitors are checked and paired
-    as one (k, n) block.
+    in the set and in the space of x. The competitors are stacked into one
+    (k, n) block for ``_residual_rows``.
     """
     _expect(x.space, PrimalPoint, x, u, *z_samples)
     if not z_samples:
         raise PreconditionError("variational residual needs at least one competitor")
     zs = np.array([z.coords for z in z_samples])
-    if not _contains_coords(set_, x.space, zs).all():
+    return _residual_rows(set_, x.space, x.coords, u.coords, zs)
+
+
+def _residual_rows(set_: ConvexSet, space, x: np.ndarray, u: np.ndarray, zs: np.ndarray) -> float:
+    """``variational_residual`` over the competitor rows of a (k, n) block,
+    given the coordinates of x and u: checked and paired in one pass."""
+    if not _contains_coords(set_, space, zs).all():
         raise PreconditionError("competitor sample lies outside the set")
-    g = duality_map(x - u)
-    if is_theta(g):
+    d = x - u
+    g = _duality(d, space.p, _norm(d, space.weights, space.p))
+    if _norm(g, space.weights, space.q) <= space.theta_tol:
         return 0.0
-    return float(np.min(_pair(x.space.weights, g.coords, u.coords - zs)))
+    return float(np.min(_pair(space.weights, g, u - zs)))

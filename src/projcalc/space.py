@@ -98,9 +98,11 @@ def _freeze_coords(coords, n: int) -> np.ndarray:
     c = np.array(coords, dtype=np.float64)
     if c.shape != (n,):
         raise DimensionMismatchError(f"expected {n} coordinates, got shape {c.shape}")
-    if not np.isfinite(c).all():
+    # One exact scalar test per coordinate: cheaper than np.isfinite on the
+    # handful of coordinates a point holds, and no sum that could overflow.
+    if not all(map(math.isfinite, c.tolist())):
         raise NonFiniteError("coordinates must be finite")
-    c.flags.writeable = False
+    c.setflags(write=False)
     return c
 
 

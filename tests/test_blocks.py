@@ -23,7 +23,7 @@ import projcalc as pc
 from projcalc.decomposition import Anchor, o_star
 from projcalc.derivatives import DEFAULT_SCHEDULE
 from projcalc.errors import DegenerateInputError, PreconditionError
-from projcalc.instances import _rescale_masked, point_at_norm, sample_in_set
+from projcalc.instances import _rescale_masked, _sample_rows, point_at_norm, sample_in_set
 from projcalc.oracle import (
     NotRejected,
     OracleConfig,
@@ -32,7 +32,13 @@ from projcalc.oracle import (
     _random_direction,
     structured_probes,
 )
-from projcalc.projections import _masked_norm, _project_coords, _radial
+from projcalc.projections import (
+    _mask_array,
+    _masked_norm,
+    _project_coords,
+    _radial,
+    _residual_rows,
+)
 from projcalc.space import _norm
 
 P_GRID = [1.1, 1.5, 2.0, 3.0, 7.0, 10.0]
@@ -166,9 +172,10 @@ def _ref_test_membership(set_, xbar, xstar, ystar, cfg=OracleConfig()):
     px = _project_coords(set_, sp, xbar.coords)
     maxima: list[float] = []
     for ri, rho in enumerate(cfg.radii):
-        directions = np.vstack(
-            [fixed, _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)]
-        )
+        raw = _random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)
+        nrm = _norm(raw, sp.weights, sp.p)
+        keep = nrm > sp.theta_tol
+        directions = np.vstack([fixed, raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]])
         u = xbar.coords + rho * directions
         num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
         if not ndu.all():
@@ -239,6 +246,56 @@ def test_sample_in_set_rows_and_draw_order(p, weights, kind):
         assert all(type(z) is pc.PrimalPoint and z.space is sp for z in got)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     assert got_rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_sample_in_set_is_its_row_form_as_points(p, weights, kind):
+    sp, set_, _ = _case(p, weights, kind)
+    got_rng, row_rng = np.random.default_rng(13), np.random.default_rng(13)
+    for count in (0, 1, 7, 40):
+        got = sample_in_set(set_, sp, got_rng, count)
+        rows = _sample_rows(set_, sp, row_rng, count)
+        assert rows.shape == (count, sp.n)
+        assert [_bits(z.coords) for z in got] == [_bits(row) for row in rows]
+    assert got_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_variational_residual_is_its_row_kernel(p, weights, kind):
+    sp, set_, rng = _case(p, weights, kind)
+    for _ in range(6):
+        x = sp.primal(2.0 * rng.standard_normal(sp.n))
+        zs = sample_in_set(set_, sp, rng, 25)
+        block = np.array([z.coords for z in zs])
+        for u in (pc.project(set_, x), zs[0], x):
+            got = pc.variational_residual(set_, x, u, zs)
+            assert _bits(got) == _bits(_residual_rows(set_, sp, x.coords, u.coords, block))
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_cached_masks_are_read_only(p, weights, kind):
+    sp, set_, _ = _case(p, weights, kind)
+    if kind in ("cone", "subspace"):
+        sel = _mask_array(frozenset({1, 4}), sp.n)
+    else:
+        sel = _radial(set_, sp.n)[1]
+    assert sel is _mask_array(frozenset(np.flatnonzero(sel).tolist()), sp.n)
+    assert not sel.flags.writeable
+    with pytest.raises(ValueError):
+        sel[0] = not sel[0]
+
+
+def test_a_mask_out_of_range_raises_on_every_call():
+    sp = pc.SpaceConfig(n=N, p=3.0)
+    x = sp.primal(np.arange(1.0, N + 1.0))
+    bad = frozenset({0, N})
+    for _ in range(3):
+        with pytest.raises(pc.DimensionMismatchError):
+            _mask_array(bad, N)
+        with pytest.raises(pc.DimensionMismatchError):
+            pc.project(pc.Cylinder(1.3, bad), x)
+        with pytest.raises(pc.DimensionMismatchError):
+            pc.project(pc.CoordSubspace(bad), x)
 
 
 @pytest.mark.parametrize("p,weights,kind", GRID)

@@ -232,6 +232,44 @@ class TestSmoothness:
                     assert order >= 0.9
 
 
+class TestFiniteness:
+    """Every coordinate is tested on its own: a point is finite exactly when
+    each coordinate is, however large their sum would be."""
+
+    N = 4
+    EXTREMES = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -0.0]
+
+    @pytest.mark.parametrize("make", ["primal", "dual"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("i", range(N))
+    def test_a_nonfinite_coordinate_raises(self, make, bad, i):
+        sp = pc.SpaceConfig(n=self.N, p=3.0)
+        c = np.ones(self.N)
+        c[i] = bad
+        with pytest.raises(pc.NonFiniteError):
+            getattr(sp, make)(c)
+
+    @pytest.mark.parametrize("make", ["primal", "dual"])
+    @pytest.mark.parametrize("i", range(N))
+    def test_an_overflowing_sum_raises(self, make, i):
+        sp = pc.SpaceConfig(n=self.N, p=3.0)
+        c = np.ones(self.N)
+        c[i] = 1e308
+        x = getattr(sp, make)(c)
+        with np.errstate(over="ignore"), pytest.raises(pc.NonFiniteError):
+            x + x
+
+    @pytest.mark.parametrize("make", ["primal", "dual"])
+    @pytest.mark.parametrize("coords", [EXTREMES, EXTREMES[:1] * N], ids=["mixed", "all-max"])
+    def test_extreme_finite_coordinates_are_kept_unchanged(self, make, coords):
+        # The largest double, the smallest subnormal and -0.0 are finite; a
+        # test that summed the coordinates would overflow on the largest.
+        sp = pc.SpaceConfig(n=self.N, p=3.0)
+        x = getattr(sp, make)(coords)
+        assert x.coords.tobytes() == np.array(coords, dtype=np.float64).tobytes()
+        assert not x.coords.flags.writeable
+
+
 class TestThetaThreshold:
     def test_threshold_scales_with_dimension(self):
         sp = pc.SpaceConfig(n=8, p=2.0)

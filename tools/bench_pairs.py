@@ -1,12 +1,12 @@
 """Paired benchmark runs of a parent commit against a change.
 
 Exports both commits with ``git archive`` into fresh temporary directories
-and runs one workload of the repository's benchmark (``python3
-perfbench/run.py``, unchanged) in each, for N pairs; the side that runs
-first alternates from pair to pair. Writes one JSON file:
+and runs each named workload of the repository's benchmark (``python3
+perfbench/run.py``, unchanged) in each, for N pairs per workload; the side
+that runs first alternates from pair to pair. Writes one JSON file:
 
-    {machine, nproc, python, numpy, workload, seed, seconds,
-     parent, change, pairs[], median, q1, q3, wins}
+    {what, command, workloads: {<workload>: {machine, nproc, python, numpy,
+     workload, seed, seconds, parent, change, pairs[], median, q1, q3, wins}}}
 
 Each run lasts the ``run_seconds`` that ``BENCHMARK.json`` fixes. ``pairs``
 holds every run's end-to-end metrics and op counts, and which side ran
@@ -15,8 +15,8 @@ parent runs and over the change runs; ``wins`` counts, per metric, the pairs
 in which the change is better, in the direction ``BENCHMARK.json`` declares
 (ties count for neither side).
 
-    python3 tools/bench_pairs.py --workload verify-suite --seed 91 \\
-        --pairs 10 --parent HEAD~1 --change HEAD --out pairs.json
+    python3 tools/bench_pairs.py --workload verify-suite --workload oracle-stream \\
+        --seed 91 --pairs 10 --parent HEAD~1 --change HEAD --out pairs.json
 """
 
 from __future__ import annotations
@@ -87,9 +87,24 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def _pairs(trees: dict[str, Path], workload: str, seed: int, seconds: int, n: int) -> list:
+    pairs = []
+    for i in range(n):
+        # Alternate which side runs first, so a drifting machine favours neither.
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"first": order[0]}
+        for side in order:
+            pair[side] = _run(trees[side], workload, seed, seconds)
+        pairs.append(pair)
+        p, c = (pair[s]["metrics"]["ops_per_s"] for s in ("parent", "change"))
+        print(f"{workload} pair {i + 1}/{n}: ops_per_s {p:.4g} -> {c:.4g}", file=sys.stderr)
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True,
+                    help="a workload of BENCHMARK.json; give it once per workload")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
@@ -101,39 +116,42 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    pairs = []
+    workloads = list(dict.fromkeys(args.workload))
+    runs = {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {}
         for side, rev in revs.items():
             trees[side] = Path(tmp) / side
             _export(rev, trees[side])
-        for i in range(args.pairs):
-            # Alternate which side runs first, so a drifting machine favours neither.
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = _run(trees[side], args.workload, args.seed, seconds)
-            pairs.append(pair)
-            p, c = (pair[s]["metrics"]["ops_per_s"] for s in ("parent", "change"))
-            print(f"pair {i + 1}/{args.pairs}: ops_per_s {p:.4g} -> {c:.4g}", file=sys.stderr)
+        for workload in workloads:
+            runs[workload] = _pairs(trees, workload, args.seed, seconds, args.pairs)
 
     doc = {
-        "machine": _machine(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": seconds,
-        "parent": revs["parent"],
-        "change": revs["change"],
-        "pairs": pairs,
-        **summarize(pairs, better),
+        "what": "Paired runs of perfbench/run.py at the parent and the change "
+                "(tools/bench_pairs.py, run_seconds from BENCHMARK.json, alternating "
+                "which side runs first), one entry per workload.",
+        "command": " ".join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
+        "workloads": {},
     }
+    for workload, pairs in runs.items():
+        doc["workloads"][workload] = {
+            "machine": _machine(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "workload": workload,
+            "seed": args.seed,
+            "seconds": seconds,
+            "parent": revs["parent"],
+            "change": revs["change"],
+            "pairs": pairs,
+            **summarize(pairs, better),
+        }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    for name, med in doc["median"].items():
-        print(f"{name}: median {med['parent']:.4g} -> {med['change']:.4g}, "
-              f"{doc['wins'][name]}/{args.pairs} wins", file=sys.stderr)
+    for workload, entry in doc["workloads"].items():
+        for name, med in entry["median"].items():
+            print(f"{workload} {name}: median {med['parent']:.4g} -> {med['change']:.4g}, "
+                  f"{entry['wins'][name]}/{args.pairs} wins", file=sys.stderr)
     return 0
 
 
