@@ -115,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--directions", type=int, default=OracleConfig.directions_per_radius)
     orc.add_argument("--oracle-seed", type=int, default=None)
     orc.add_argument("--reject-threshold", type=float, default=OracleConfig.reject_threshold)
-    orc.add_argument("--accept-threshold", type=float, default=OracleConfig.accept_threshold)
     orc.add_argument("--no-structured-probes", action="store_true")
 
     wit = subs.add_parser("witness", help="nonsmoothness witness search")
@@ -190,7 +189,6 @@ def _cmd_oracle(args) -> int:
             directions_per_radius=args.directions,
             seed=seed,
             reject_threshold=args.reject_threshold,
-            accept_threshold=args.accept_threshold,
             structured_probes=not args.no_structured_probes,
         )
     except ValueError as exc:

@@ -125,6 +125,12 @@ def _mask_array(mask: frozenset[int], n: int) -> np.ndarray:
     return sel
 
 
+@functools.lru_cache(maxsize=256)
+def _full_index_set(n: int) -> frozenset[int]:
+    """Every index below n: a ball's mask, kept so that its hash is computed once."""
+    return frozenset(range(n))
+
+
 def mask_restrict(point, mask: frozenset[int]):
     """Zero out every coordinate outside the mask (x = x_M + x_Mbar exactly)."""
     sel = _mask_array(frozenset(mask), point.space.n)
@@ -139,7 +145,7 @@ def _radial(set_: Ball | Cylinder, n: int) -> tuple[float, np.ndarray]:
     so every sum rounds as it would over the full coordinate vector.
     """
     if isinstance(set_, Ball):
-        return set_.r, _mask_array(frozenset(range(n)), n)
+        return set_.r, _mask_array(_full_index_set(n), n)
     if isinstance(set_, Cylinder):
         return set_.r, _mask_array(set_.mask, n)
     raise UnsupportedSetError(f"this operation needs a ball or cylinder, got {set_!r}")

@@ -477,22 +477,18 @@ def _direction_classification(env: Env):
 
 
 @_case("derivatives/annihilation",
-       "the exterior derivative kills the base point and maps into its tangent plane")
+       "the exterior derivative maps x to its unmasked part and into the tangent plane of x_M")
 def _annihilation(env: Env):
-    sp, rng, mask = env.sp, env.rng, env.mask
+    sp, rng = env.sp, env.rng
     worst = 0.0
-    xb = point_at_norm(sp, env.ball, rng, 1.6 * env.spec.r)
-    worst = max(worst, spc.norm_primal(dv.frechet_apply(env.ball, xb, xb)))
-    xc = point_at_norm(sp, env.cyl, rng, 1.6 * env.spec.r)
-    tail = xc - pj.mask_restrict(xc, mask)
-    worst = max(
-        worst,
-        spc.norm_primal(dv.frechet_apply(env.cyl, xc, xc) - tail),
-    )
-    jx = spc.duality_map(xb)
-    for _ in range(10):
-        v = _rand_primal(sp, rng)
-        worst = max(worst, abs(spc.pair(jx, dv.frechet_apply(env.ball, xb, v))))
+    for set_ in (env.ball, env.cyl):
+        x = point_at_norm(sp, set_, rng, 1.6 * env.spec.r)
+        xm = sp.primal(np.where(pj._radial(set_, sp.n)[1], x.coords, 0.0))
+        worst = max(worst, spc.norm_primal(dv.frechet_apply(set_, x, x) - (x - xm)))
+        jm = spc.duality_map(xm)
+        for _ in range(10):
+            v = _rand_primal(sp, rng)
+            worst = max(worst, abs(spc.pair(jm, dv.frechet_apply(set_, x, v))))
     return worst <= env.tol(1e-9), {"worst_residual": worst}
 
 
@@ -557,44 +553,60 @@ def _member(fiber, xs) -> bool:
     return cd.contains(fiber, xs).holds
 
 
-@_case("coderiv-ball/adjoint-identity", "<fiber value, v> = <y*, dP v> at differentiable points")
-def _ball_adjoint_identity(env: Env):
-    sp, rng, ns, ball, r = env.sp, env.rng, env.ns, env.ball, env.spec.r
+def _closed_form(set_, xb, ys):
+    """The closed-form fiber of y* at xbar for any of the three sets."""
+    if isinstance(set_, pj.PositiveCone):
+        return cd.cone_fiber(xb, ys)
+    if isinstance(set_, pj.Cylinder):
+        return cd.coderiv_cylinder(set_.r, set_.mask, xb, ys)
+    return cd.coderiv_ball(set_.r, xb, ys)
+
+
+def _adjoint_identity(env: Env, set_):
+    sp, rng, r = env.sp, env.rng, env.spec.r
     worst = 0.0
     for target in (0.5 * r, 1.8 * r):
-        for _ in range(ns):
-            x = point_at_norm(sp, ball, rng, target)
-            for _ in range(5):
+        for _ in range(env.ns):
+            x = point_at_norm(sp, set_, rng, target)
+            for _ in range(2):
                 ys, v = _rand_dual(sp, rng), _rand_primal(sp, rng)
-                worst = max(worst, _adjoint_gap(ball, x, cd.coderiv_ball(r, x, ys), ys, v))
+                worst = max(worst, _adjoint_gap(set_, x, _closed_form(set_, x, ys), ys, v))
     return worst <= env.tol(1e-8), {"worst_gap": worst}
 
 
-@_case("coderiv-ball/fd-transpose",
-       "fiber values match the transpose action of the difference Jacobian")
-def _ball_fd_transpose(env: Env):
-    sp, rng, ball, r = env.sp, env.rng, env.ball, env.spec.r
+def _fd_transpose(env: Env, set_):
+    sp, rng, r = env.sp, env.rng, env.spec.r
     worst = 0.0
     for target in (0.4 * r, 1.9 * r):
-        x = point_at_norm(sp, ball, rng, target)
-        jac = _fd_jacobian(ball, x)
+        x = point_at_norm(sp, set_, rng, target)
+        jac = _fd_jacobian(set_, x)
         for _ in range(5):
             ys = _rand_dual(sp, rng)
-            worst = max(worst, _transpose_gap(jac, cd.coderiv_ball(r, x, ys), ys))
+            worst = max(worst, _transpose_gap(jac, _closed_form(set_, x, ys), ys))
     return worst <= env.tol(1e-4), {"worst_gap": worst}
 
 
-@_case("coderiv-ball/boundary-dispatch",
-       "zero query -> zero singleton, J(xbar) query -> empty, alignment decides theta*")
-def _ball_boundary_dispatch(env: Env):
-    sp, rng, ball, r = env.sp, env.rng, env.ball, env.spec.r
-    xb = point_at_norm(sp, ball, rng, ball.r)
-    jx = spc.duality_map(xb)
-    zero_ok = isinstance(cd.coderiv_ball(r, xb, sp.zero_dual()), cd.Singleton)
-    empty_ok = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
-    member = _member(cd.coderiv_ball(r, xb, -1.0 * jx), sp.zero_dual())
-    ortho = dec.o_star(dec.Anchor.at(xb), _rand_dual(sp, rng))
-    not_member = not _member(cd.coderiv_ball(r, xb, ortho), sp.zero_dual())
+def _boundary_dispatch(env: Env, set_):
+    """At a boundary point xbar, with J_M = J(xbar_M): theta* is in the fiber
+    of -J_M and -2 J_M, and not in that of J_M (lambda < 0), of a query d
+    tangential to xbar_M (lambda = 0), of -J_M misaligned by 1e-3 along d,
+    nor, if the mask leaves a coordinate out, of -J_M plus a tail there."""
+    sp, rng, zero = env.sp, env.rng, env.sp.zero_dual()
+    xb = point_at_norm(sp, set_, rng, set_.r)
+    sel = pj._radial(set_, sp.n)[1]
+    xm = sp.primal(np.where(sel, xb.coords, 0.0))
+    at_zero = _closed_form(set_, xb, zero)
+    zero_ok = isinstance(at_zero, cd.Singleton) and _member(at_zero, zero)
+    empty_ok = isinstance(_closed_form(set_, xb, spc.duality_map(xb)), cd.EmptyFiber)
+    jm = spc.duality_map(xm)
+    d = dec.o_star(dec.Anchor.at(xm), _rand_dual(sp, rng))
+    njm = spc.norm_dual(jm)
+    bad = [jm, d, -1.0 * jm + (1e-3 * njm / spc.norm_dual(d)) * d]
+    if not sel.all():
+        # Relative to |J_M|, not to r: xbar's unmasked part is drawn at unit scale.
+        bad.append(-1.0 * jm + 0.5 * njm * sp.dual(np.eye(sp.n)[np.flatnonzero(~sel)[0]]))
+    member = all(_member(_closed_form(set_, xb, c * jm), zero) for c in (-1.0, -2.0))
+    not_member = not any(_member(_closed_form(set_, xb, ys), zero) for ys in bad)
     return zero_ok and empty_ok and member and not_member, {
         "zero_ok": float(zero_ok),
         "empty_ok": float(empty_ok),
@@ -626,58 +638,6 @@ def _hilbert_grid(env: Env):
         o_zero = spc.norm_dual(dec.o_star(anchor, ys)) <= 1e-8 * spc.norm_dual(ys)
         agreements += int(member == (o_zero and spc.pair(ys, xb) < 0.0))
     return agreements == 20, {"agreements": agreements}
-
-
-@_case("coderiv-ball/fiber-nonlinearity",
-       "two member fibers and an empty fiber at the negated query")
-def _fiber_nonlinearity(env: Env):
-    sp, rng, ball, r = env.sp, env.rng, env.ball, env.spec.r
-    xb = point_at_norm(sp, ball, rng, ball.r)
-    jx = spc.duality_map(xb)
-    m1 = _member(cd.coderiv_ball(r, xb, -1.0 * jx), sp.zero_dual())
-    m2 = _member(cd.coderiv_ball(r, xb, -2.0 * jx), sp.zero_dual())
-    empty = isinstance(cd.coderiv_ball(r, xb, jx), cd.EmptyFiber)
-    return m1 and m2 and empty, {"m1": float(m1), "m2": float(m2), "empty": float(empty)}
-
-
-@_case("coderiv-cylinder/adjoint-identity",
-       "fiber values are the adjoint of the closed-form and difference Jacobians")
-def _cylinder_adjoint_identity(env: Env):
-    sp, rng, mask, cyl, r = env.sp, env.rng, env.mask, env.cyl, env.spec.r
-    worst_adj = 0.0
-    worst_fd = 0.0
-    for target in (0.5 * r, 1.7 * r):
-        x = point_at_norm(sp, cyl, rng, target)
-        jac = _fd_jacobian(cyl, x)
-        for _ in range(8):
-            ys = _rand_dual(sp, rng)
-            v = _rand_primal(sp, rng)
-            res = cd.coderiv_cylinder(r, mask, x, ys)
-            worst_adj = max(worst_adj, _adjoint_gap(cyl, x, res, ys, v))
-            worst_fd = max(worst_fd, _transpose_gap(jac, res, ys))
-    ok = worst_adj <= env.tol(1e-8) and worst_fd <= env.tol(1e-4)
-    return ok, {"worst_adjoint_gap": worst_adj, "worst_fd_gap": worst_fd}
-
-
-@_case("coderiv-cylinder/boundary-iff",
-       "three-condition membership, empty fiber at J(xbar), zero singleton at theta*")
-def _cylinder_boundary_iff(env: Env):
-    sp, rng, mask, cyl, r = env.sp, env.rng, env.mask, env.cyl, env.spec.r
-    ok = True
-    xb = point_at_norm(sp, cyl, rng, cyl.r)
-    jm = pj.mask_restrict(spc.duality_map(xb), mask)
-    ok &= _member(cd.coderiv_cylinder(r, mask, xb, -1.0 * jm), sp.zero_dual())
-    comp = pj.mask_complement(mask, sp.n)
-    if comp:
-        tail = sp.dual(np.eye(sp.n)[sorted(comp)[0]])
-        # The tail is half the member query's norm, which need not be of the
-        # order of r: xbar's unmasked part is drawn at unit scale.
-        bad = -1.0 * jm + 0.5 * spc.norm_dual(jm) * tail
-        ok &= not _member(cd.coderiv_cylinder(r, mask, xb, bad), sp.zero_dual())
-    ok &= not _member(cd.coderiv_cylinder(r, mask, xb, jm), sp.zero_dual())
-    ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, spc.duality_map(xb)), cd.EmptyFiber)
-    ok &= isinstance(cd.coderiv_cylinder(r, mask, xb, sp.zero_dual()), cd.Singleton)
-    return bool(ok), {"ok": float(ok)}
 
 
 @_case("coderiv-cylinder/full-mask-reduces-to-ball",
@@ -774,15 +734,6 @@ def _denominator_equivalence(env: Env):
             worst_lo = min(worst_lo, ratio)
     ok = worst_hi <= np.sqrt(2.0) + 1e-12 and worst_lo >= 1.0 - 1e-12
     return ok, {"max_ratio": worst_hi, "min_ratio": worst_lo}
-
-
-def _closed_form(set_, xb, ys):
-    """The closed-form fiber of y* at xbar for any of the three sets."""
-    if isinstance(set_, pj.PositiveCone):
-        return cd.cone_fiber(xb, ys)
-    if isinstance(set_, pj.Cylinder):
-        return cd.coderiv_cylinder(set_.r, set_.mask, xb, ys)
-    return cd.coderiv_ball(set_.r, xb, ys)
 
 
 def _offset(sp, coords):
@@ -890,6 +841,10 @@ def _regime_table(env: Env):
 
 _OPTIMALITY = "projection is idempotent, distance-minimal, and satisfies the variational test"
 _FD_AGREEMENT = "closed-form derivative agrees with one-sided finite differences"
+_ADJOINT = "<fiber value, v> = <y*, dP v> at differentiable points"
+_FD_TRANSPOSE = "fiber values match the transpose action of the difference Jacobian"
+_BOUNDARY_DISPATCH = ("zero query -> zero singleton, J(xbar) query -> empty, theta* only for"
+                      " negative multiples of J(xbar_M)")
 
 SUITES = {
     "space-identities": Suite(
@@ -943,13 +898,29 @@ SUITES = {
         tag=5,
         ops=("coderiv_ball", "frechet_apply"),
         samples=lambda s: max(10, s // 5),
-        cases=(_ball_adjoint_identity, _ball_fd_transpose, _ball_boundary_dispatch, _hilbert_grid,
-               _fiber_nonlinearity),
+        cases=(
+            Case("coderiv-ball/adjoint-identity", _ADJOINT,
+                 lambda env: _adjoint_identity(env, env.ball)),
+            Case("coderiv-ball/fd-transpose", _FD_TRANSPOSE,
+                 lambda env: _fd_transpose(env, env.ball)),
+            Case("coderiv-ball/boundary-dispatch", _BOUNDARY_DISPATCH,
+                 lambda env: _boundary_dispatch(env, env.ball)),
+            _hilbert_grid,
+        ),
     ),
     "coderiv-cylinder": Suite(
         tag=6,
         ops=("coderiv_cylinder", "frechet_apply"),
-        cases=(_cylinder_adjoint_identity, _cylinder_boundary_iff, _full_mask_reduces_to_ball),
+        samples=lambda s: max(10, s // 5),
+        cases=(
+            Case("coderiv-cylinder/adjoint-identity", _ADJOINT,
+                 lambda env: _adjoint_identity(env, env.cyl)),
+            Case("coderiv-cylinder/fd-transpose", _FD_TRANSPOSE,
+                 lambda env: _fd_transpose(env, env.cyl)),
+            Case("coderiv-cylinder/boundary-dispatch", _BOUNDARY_DISPATCH,
+                 lambda env: _boundary_dispatch(env, env.cyl)),
+            _full_mask_reduces_to_ball,
+        ),
     ),
     "coderiv-cone": Suite(
         tag=7,

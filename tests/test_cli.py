@@ -172,6 +172,14 @@ class TestOracle:
         doc = json.loads(out)
         assert doc["verdict"] == "not_rejected"
 
+    def test_accept_threshold_is_not_an_option(self, capsys):
+        # test_membership never reads the accept threshold, so no flag sets it.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--set", "ball", "--point", "[1, 0]", "--xstar", "[0, 0]",
+                  "--ystar", "[0, 1]", "--accept-threshold", "1e-4"])
+        assert exc.value.code == 2
+        assert "--accept-threshold" in capsys.readouterr().err
+
     def test_bad_vector_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["oracle", "--set", "ball", "--point", "oops", "--xstar", "[0]",

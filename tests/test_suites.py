@@ -8,7 +8,7 @@ import shlex
 import pytest
 
 import projcalc as pc
-from projcalc import oracle
+from projcalc import coderivative, oracle
 from projcalc.cli import main
 from projcalc.suites import ALL_OPS, SUITES, SuiteSpec, run_suite
 
@@ -83,6 +83,20 @@ def test_oracle_crosscheck_asks_the_oracle_at_most_25_times(monkeypatch):
     monkeypatch.setattr(oracle, "test_membership", lambda *a: calls.append(a) or ask(*a))
     run_suite(SuiteSpec("oracle-crosscheck", samples=10))
     assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("suite, density", [("coderiv-ball", 0.5), ("coderiv-cylinder", 1.0)],
+                         ids=["ball", "full-mask-cylinder"])
+def test_boundary_dispatch_kills_a_loose_alignment_tolerance(monkeypatch, suite, density):
+    # At ALIGNMENT_TOL = 1e-1, theta* would lie in the fiber of -J(xbar_M)
+    # misaligned by 1e-3. A partial mask would reject that query by its
+    # unmasked tail alone, so the cylinder runs with a full mask.
+    monkeypatch.setattr(coderivative, "ALIGNMENT_TOL", 1e-1)
+    case_id = f"{suite}/boundary-dispatch"
+    (case,) = run_suite(SuiteSpec(suite, p=3.0, samples=10, mask_density=density,
+                                  case_filter=case_id)).cases
+    assert case.status == "fail"
+    assert case.metrics["not_member_ok"] == 0.0
 
 
 class TestCoverage:

@@ -5,6 +5,9 @@ Runs the full suite on a fixed grid -- seeds {0, 7, 123} x p in {1.1, 1.5, 2,
 x samples {32, 100}, 72 runs -- once in the working tree and once in a
 ``git archive`` export of REV. Compares each run's exit
 code and its report with the timestamp line removed. Compares the same way
+two runs at the masks the grid never reaches, ``--mask-density 1`` (a
+full-mask cylinder, with no unmasked tail) and ``--mask-density 0.125``
+(one masked index at n = 8), counted on their own line; and
 six runs at radii where some cases raise, ``--samples 10`` with ``--r``
 1e-170, 1e-20, 1e20 and 1e170, and with ``--p 1.5 --r`` 1e-170 and 1e160,
 where ||xbar_M||^2 leaves the float range but ||xbar_M|| does not; each
@@ -15,7 +18,8 @@ Prints every pair that differs, and exits 1 if any does. A run that ends
 without a report on one side (a traceback) is named and left out of the
 case tally. After the totals, names each case whose status, metrics,
 witness or error differs between two reports, with the number of runs in
-which it differs, and counts the status changes. Then names each
+which it differs, and counts the status changes of the cases that both
+reports hold, for each group of runs apart. Then names each
 ``summary`` key that differs, with the number of runs in which it differs,
 so a renamed op shows as a change of ``ops_covered`` alone (every run is
 a full one, so ``ops_missing`` stays empty). Last, prints the line count
@@ -48,6 +52,9 @@ GRID = list(
 # The fields of a report case that count as a change; ``repro`` and
 # ``property`` only restate the configuration and the case.
 CASE_FIELDS = ("status", "metrics", "witness", "error")
+
+# Runs at the two ends of the mask: every index masked, and one index at n = 8.
+MASK_RUNS = [["--mask-density", d] for d in ("1", "0.125")]
 
 # Runs in which some cases raise a ProjcalcError and are recorded as failed:
 # where a deleted or moved ``raise`` would show. At p = 1.5 the squared
@@ -128,10 +135,8 @@ def _compare(
         return differs, code_a != 0 or code_b != 0, set(), 0, set()
     (summary_a, cases_a), (summary_b, cases_b) = _parts(text_a), _parts(text_b)
     changed = _differing(cases_a, cases_b)
-    status_changes = sum(
-        (cases_a.get(cid) or {}).get("status") != (cases_b.get(cid) or {}).get("status")
-        for cid in changed
-    )
+    status_changes = sum(cases_a[cid]["status"] != cases_b[cid]["status"]
+                         for cid in changed & cases_a.keys() & cases_b.keys())
     keys = _differing(summary_a, summary_b)
     if differs:
         print(f"DIFFERS: run {' '.join(run_args)}: exit {code_a} at {rev}, {code_b} here")
@@ -150,6 +155,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-grid-") as tmp:
         _export(args.against, Path(tmp))
         grid = [_compare(Path(tmp), args.against, _grid_args(*point)) for point in GRID]
+        masks = [_compare(Path(tmp), args.against, run_args) for run_args in MASK_RUNS]
         raising = [_compare(Path(tmp), args.against, run_args) for run_args in RAISING_RUNS]
         cli_differ = 0
         for argv in COMMANDS:
@@ -162,17 +168,22 @@ def main(argv=None) -> int:
                         print(f"  {what} at {args.against}: {x!r}\n  {what} here: {y!r}")
         old_lines = _src_lines(Path(tmp))
     differ = sum(r[0] for r in grid)
+    mask_differ = sum(r[0] for r in masks)
     raising_differ = sum(r[0] for r in raising)
     print(f"{len(GRID) - differ}/{len(GRID)} reports identical; "
           f"{sum(r[1] for r in grid)} grid points with a nonzero exit")
+    print(f"{len(MASK_RUNS) - mask_differ}/{len(MASK_RUNS)} mask-density runs identical; "
+          f"{sum(r[1] for r in masks)} with a nonzero exit")
     print(f"{len(RAISING_RUNS) - raising_differ}/{len(RAISING_RUNS)} raising-case runs "
           f"identical; {sum(r[1] for r in raising)} with a nonzero exit (each exits 1 by design)")
     print(f"{len(COMMANDS) - cli_differ}/{len(COMMANDS)} CLI commands identical")
-    runs = grid + raising
+    runs = grid + masks + raising
     tally = collections.Counter(cid for r in runs for cid in r[2])
     for cid, count in sorted(tally.items()):
         print(f"  case {cid} differs in {count}/{len(runs)} runs")
-    print(f"{sum(r[3] for r in runs)} case status changes over {len(runs)} runs")
+    print(f"case status changes: {sum(r[3] for r in grid)} over {len(grid)} grid runs, "
+          f"{sum(r[3] for r in masks)} over {len(masks)} mask-density runs, "
+          f"{sum(r[3] for r in raising)} over {len(raising)} raising-case runs")
     for key, count in sorted(collections.Counter(k for r in runs for k in r[4]).items()):
         print(f"  summary.{key} differs in {count}/{len(runs)} runs")
     new_lines = _src_lines(ROOT)
@@ -182,7 +193,7 @@ def main(argv=None) -> int:
         if old_lines.get(name) != new_lines.get(name):
             print(f"  {name}: {old_lines.get(name, 0)} lines at {args.against}, "
                   f"{new_lines.get(name, 0)} here")
-    return 1 if differ or raising_differ or cli_differ else 0
+    return 1 if differ or mask_differ or raising_differ or cli_differ else 0
 
 
 if __name__ == "__main__":
