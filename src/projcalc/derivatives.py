@@ -14,8 +14,8 @@ exhibits a direction v whose one-sided difference quotients fail the odd
 symmetry P'(v) = -P'(-v) by a definite margin.
 
 Finite differences are array passes: ``gateaux_fd`` projects every step of
-its schedule as one block, and the witness search evaluates every probe,
-forward and backward, in one block before taking the first qualifying probe.
+its schedule as one block, and the witness search projects every probe ray,
+forward and backward, at the schedule's last step alone, as one block.
 
 Boundary directions split into an "up" set (the masked norm exceeds r for
 small t > 0) and a "down" set (it stays <= r). The first-order slope
@@ -69,6 +69,9 @@ class FDSchedule:
 
 
 DEFAULT_SCHEDULE = FDSchedule()
+
+_STEPS = np.array(DEFAULT_SCHEDULE.steps)[:, np.newaxis]  # read-only (steps, 1) column
+_STEPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -132,66 +135,56 @@ def gateaux_fd(set_: ConvexSet, x: PrimalPoint, v: PrimalPoint) -> FDEstimate:
     _expect(x.space, PrimalPoint, x, v)
     if is_theta(v):
         raise DegenerateInputError("finite differences need a nonzero direction")
-    quotients = _difference_quotients(set_, x, v.coords)
+    quotients = _difference_quotients(set_, x, v.coords, _STEPS)
     gaps = tuple(_norm(quotients[1:] - quotients[:-1], x.space.weights, x.space.p).tolist())
     converged = gaps[-1] <= 10.0 * DEFAULT_SCHEDULE.tol
     return FDEstimate(value=PrimalPoint(quotients[-1], x.space), gaps=gaps, converged=converged)
 
 
-def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray) -> np.ndarray:
-    """(P(x + t v) - P(x))/t for every step t of ``DEFAULT_SCHEDULE`` and
+def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray, t) -> np.ndarray:
+    """(P(x + t v) - P(x))/t for every step of the (steps, 1) column t and
     every row v of a (..., n) block of directions, as a (..., steps, n)
     array. Each row is formed in the operand order of the point arithmetic,
-    so it equals the quotient of a single direction bit for bit."""
+    so it equals the quotient of one direction at one step bit for bit."""
     sp = x.space
-    t = np.array(DEFAULT_SCHEDULE.steps)[:, np.newaxis]
-    step = _finite(x.coords + np.expand_dims(v, -2) * t, "the step x + t v")
+    step = _finite(x.coords + v[..., np.newaxis, :] * t, "the step x + t v")
     px = _project_coords(set_, sp, x.coords)
     return (_project_coords(set_, sp, step) - px) * (1.0 / t)
 
 
-def _witness_probes(set_: ConvexSet, xbar: PrimalPoint, masked: list) -> np.ndarray:
-    """The probe directions as rows v0, -v0, v1, -v1, ...: the point, the
-    ``masked`` rays (a cylinder point's nonzero masked part), every axis,
-    and the cylinder's masked axes once more."""
-    sp = xbar.space
-    eye = np.eye(sp.n)
-    rays = [xbar.coords] if not is_theta(xbar) else []
-    rays += masked + list(eye)
-    if isinstance(set_, Cylinder):
-        rays += [eye[i] for i in sorted(set_.mask)]
-    rays = np.array(rays)
-    return np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
-
-
 def nonsmoothness_witness(set_: ConvexSet, xbar: PrimalPoint) -> Witness | None:
-    """Search a fixed probe list for a direction certifying that no linear
-    derivative exists at xbar.
+    """Search a fixed list of probe rays for a direction certifying that no
+    linear derivative exists at xbar: the point, a cylinder point's nonzero
+    masked part, every axis, and the cylinder's masked axes once more.
 
-    The defect of a probe v is ||P'(xbar; v) + P'(xbar; -v)|| estimated by
-    one-sided differences along ``DEFAULT_SCHEDULE``; a linear derivative
-    would make it vanish. Every probe, forward and backward, is one
-    (2, probes, steps, n) block of difference quotients. Returns the first
-    probe in list order with defect >= 0.1 ||v||, or None if no probe
-    qualifies (which indicates the point is not genuinely nonsmooth).
+    The defect of a probe ray v is ||P'(xbar; v) + P'(xbar; -v)||, each side
+    estimated by the difference quotient at the last step of
+    ``DEFAULT_SCHEDULE``; a linear derivative would make it vanish. Every
+    ray, forward and backward, is one (2, rays, 1, n) block of quotients; -v
+    needs no probe of its own, as its defect equals that of v bit for bit.
+    Returns the first ray in list order with defect >= 0.1 ||v||, or None if
+    no ray qualifies (which indicates the point is not genuinely nonsmooth).
     """
     sp = xbar.space
     _expect(sp, PrimalPoint, xbar)
+    eye = np.eye(sp.n)
+    rays = [xbar.coords] if not is_theta(xbar) else []
+    masked_axes = []
     if isinstance(set_, (Ball, Cylinder)):
-        _, _, xm, nrm, kind = _region(set_, xbar)
+        _, sel, xm, nrm, kind = _region(set_, xbar)
         if kind is not RegionKind.BOUNDARY:
             raise NotOnBoundaryError("nonsmoothness witnesses live on the boundary")
-        masked = [xm] if isinstance(set_, Cylinder) and nrm > sp.theta_tol else []
+        if isinstance(set_, Cylinder):
+            rays += [xm] if nrm > sp.theta_tol else []
+            masked_axes = list(eye[sel])
     elif isinstance(set_, PositiveCone):
         if not np.any(np.abs(xbar.coords) <= sp.theta_tol):
             raise NotOnBoundaryError("cone witnesses need at least one zero coordinate")
-        masked = []
     else:
         raise UnsupportedSetError("the subspace projection is linear, hence smooth")
-    probes = _witness_probes(set_, xbar, masked)
-    both = np.stack([probes, -probes])
-    limits = _difference_quotients(set_, xbar, both)[:, :, -1]
-    defects = _norm(limits[0] + limits[1], sp.weights, sp.p)
+    probes = np.array(rays + list(eye) + masked_axes)
+    limits = _difference_quotients(set_, xbar, np.stack([probes, -probes]), _STEPS[-1:])
+    defects = _norm(limits[0, :, 0] + limits[1, :, 0], sp.weights, sp.p)
     hits = np.flatnonzero(defects >= 0.1 * _norm(probes, sp.weights, sp.p))
     if hits.size == 0:
         return None

@@ -208,14 +208,19 @@ def _unit_rows(sp, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis], keep
 
 
-def _random_direction(sp, seed: int, radius_idx: int, m: int) -> np.ndarray:
+def _random_direction(sp, seed: int, radius_idx: int, m: int, bg=None) -> np.ndarray:
     """The m raw standard normal rows of one radius, as an (m, n) array.
 
     One Philox block per (seed, radius index), so evaluation order cannot
-    change the draws and they form a prefix in m. ``test_membership``
-    unitizes the rows of every radius in one pass.
+    change the draws and they form a prefix in m. A Philox ``bg`` passed in
+    is reset to that block, which skips the OS entropy read of a new one.
+    ``test_membership`` unitizes the rows of every radius in one pass.
     """
-    bg = np.random.Philox(key=seed, counter=[0, 0, radius_idx, 0])
+    bg = np.random.Philox() if bg is None else bg
+    bg.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                "has_uint32": 0, "uinteger": 0,
+                "state": {"counter": np.array([0, 0, radius_idx, 0], np.uint64),
+                          "key": np.array([seed, 0], np.uint64)}}
     return np.random.Generator(bg).standard_normal((m, sp.n))
 
 
@@ -235,7 +240,8 @@ def test_membership(
     if not len(fixed) and cfg.directions_per_radius == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
-    draws = np.stack([_random_direction(sp, cfg.seed, ri, cfg.directions_per_radius)
+    bg = np.random.Philox()
+    draws = np.stack([_random_direction(sp, cfg.seed, ri, cfg.directions_per_radius, bg)
                       for ri in range(len(cfg.radii))])
     rand, keep = _unit_rows(sp, draws)
     # The kept random rows of radius i follow those of the radii before it.

@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 import projcalc as pc
+from projcalc import derivatives
 from projcalc.decomposition import Anchor, o_star
-from projcalc.derivatives import DEFAULT_SCHEDULE
-from projcalc.errors import DegenerateInputError, PreconditionError
+from projcalc.derivatives import DEFAULT_SCHEDULE, _difference_quotients
+from projcalc.errors import DegenerateInputError, PreconditionError, UnsupportedSetError
 from projcalc.instances import _rescale_masked, _sample_rows, point_at_norm, sample_in_set
 from projcalc.oracle import (
     NotRejected,
@@ -363,6 +364,52 @@ def test_nonsmoothness_witness(p, weights, kind):
         if ref is not None:
             assert _bits(got.direction.coords) == _bits(ref[0].coords)
             assert _bits(got.defect) == _bits(ref[1])
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_difference_quotients_at_the_last_step_alone(p, weights, kind):
+    # The witness reads the last step only; alone it must give what the
+    # full schedule gives there, bit for bit.
+    sp, set_, rng = _case(p, weights, kind)
+    steps = np.array(DEFAULT_SCHEDULE.steps)[:, np.newaxis]
+    assert not derivatives._STEPS.flags.writeable
+    assert _bits(derivatives._STEPS) == _bits(steps)
+    points = [sp.primal(s * rng.standard_normal(sp.n)) for s in (0.3, 3.0)]
+    for x in points + _witness_points(sp, set_, kind, rng):
+        v = rng.standard_normal((2, 3, sp.n))
+        full = _difference_quotients(set_, x, v, steps)
+        last = _difference_quotients(set_, x, v, steps[-1:])
+        assert full.shape == (2, 3, len(steps), sp.n) and last.shape == (2, 3, 1, sp.n)
+        assert _bits(last[:, :, 0]) == _bits(full[:, :, -1])
+
+
+@pytest.mark.parametrize("p,weights,kind", GRID)
+def test_witness_differences_each_ray_once_per_sign_at_the_last_step(p, weights, kind,
+                                                                      monkeypatch):
+    sp, set_, rng = _case(p, weights, kind)
+    calls = []
+
+    def spy(set_, x, v, *steps):
+        calls.append((v.shape, steps))
+        return _difference_quotients(set_, x, v, *steps)
+
+    monkeypatch.setattr(derivatives, "_difference_quotients", spy)
+    if kind == "subspace":
+        with pytest.raises(UnsupportedSetError):
+            pc.nonsmoothness_witness(set_, sp.primal(rng.standard_normal(sp.n)))
+        assert not calls
+    for xb in _witness_points(sp, set_, kind, rng):
+        calls.clear()
+        pc.nonsmoothness_witness(set_, xb)
+        # The point, a cylinder point's masked part, every axis, and the
+        # cylinder's masked axes once more.
+        rays = int(not pc.is_theta(xb)) + N
+        if isinstance(set_, pc.Cylinder):
+            rays += 1 + len(set_.mask)
+        [(shape, steps)] = calls
+        assert shape == (2, rays, N)
+        assert len(steps) == 1 and _bits(steps[0]) == _bits([[DEFAULT_SCHEDULE.steps[-1]]])
+        assert steps[0].shape == (1, 1)
 
 
 def test_witness_returns_the_first_qualifying_probe_in_list_order():

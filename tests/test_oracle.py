@@ -9,6 +9,7 @@ import pytest
 import projcalc as pc
 from conftest import random_dual, random_primal
 from projcalc.instances import point_at_norm
+from projcalc.oracle import _random_direction
 
 FAST = pc.OracleConfig(seed=11, directions_per_radius=64)
 
@@ -250,6 +251,31 @@ class TestDrawContract:
             for m in (64, 128)
         )
         assert all(b >= a for a, b in zip(few, many))
+
+    def test_one_verdict_constructs_one_philox(self, rng, monkeypatch):
+        # Constructing a Philox reads OS entropy; each radius resets one.
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        pc.test_membership(*self._query(rng))
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
+    def test_a_reset_philox_draws_what_a_new_one_does(self, seed):
+        sp = pc.SpaceConfig(n=4, p=3.0)
+        bg = np.random.Philox()
+        # Radii out of order and one again, after draws that leave words buffered.
+        for ri in (3, 0, 4, 0):
+            for m in (1, 7, 64):
+                new = np.random.Philox(key=seed, counter=[0, 0, ri, 0])
+                want = np.random.Generator(new).standard_normal((m, sp.n))
+                assert _random_direction(sp, seed, ri, m, bg).tobytes() == want.tobytes()
+                assert _random_direction(sp, seed, ri, m).tobytes() == want.tobytes()
 
     def test_dropping_the_last_radius_keeps_the_earlier_maxima(self, rng):
         query = self._query(rng)
