@@ -141,7 +141,8 @@ def gateaux_fd(set_: ConvexSet, x: PrimalPoint, v: PrimalPoint) -> FDEstimate:
     return FDEstimate(value=PrimalPoint(quotients[-1], x.space), gaps=gaps, converged=converged)
 
 
-def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray, t) -> np.ndarray:
+def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray,
+                          t: np.ndarray) -> np.ndarray:
     """(P(x + t v) - P(x))/t for every step of the (steps, 1) column t and
     every row v of a (..., n) block of directions, as a (..., steps, n)
     array. Each row is formed in the operand order of the point arithmetic,

@@ -269,7 +269,7 @@ class TestDrawContract:
     def test_a_reset_philox_draws_what_a_new_one_does(self, seed):
         sp = pc.SpaceConfig(n=4, p=3.0)
         bg = np.random.Philox()
-        # Radii out of order and one again, after draws that leave words buffered.
+        # Radii out of order and one again, after draws that may leave words buffered.
         for ri in (3, 0, 4, 0):
             for m in (1, 7, 64):
                 new = np.random.Philox(key=seed, counter=[0, 0, ri, 0])

@@ -27,6 +27,8 @@ import tempfile
 import timeit
 from pathlib import Path
 
+import numpy as np
+
 from bench_pairs import ROOT, _export
 
 REPEATS = 7
@@ -36,8 +38,6 @@ REPEAT_SECONDS = 0.05
 
 def _kernels() -> dict:
     """Name -> zero-argument call, on inputs fixed by one seed."""
-    import numpy as np
-
     import projcalc as pc
     from projcalc.instances import point_at_norm
 
@@ -107,7 +107,7 @@ def _best(rounds: list[dict]) -> dict:
     exception a round raised."""
     out = {}
     for name in rounds[0]:
-        vals = [r.get(name) for r in rounds]
+        vals = [r[name] for r in rounds]
         nums = [t for t in vals if isinstance(t, float)]
         out[name] = min(nums) if len(nums) == len(vals) else next(
             t for t in vals if not isinstance(t, float))
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
     print(f"us per call, timeit best of {REPEATS} x {args.rounds} rounds, n = 8, p = 3")
     print(f"{'kernel':<28}{rev:>12}{'tree':>12}{'ratio':>8}")
     for name, a in best["against"].items():
-        t = best["tree"].get(name, "absent")
+        t = best["tree"][name]
         ratio = f"{a / t:.2f}" if isinstance(a, float) and isinstance(t, float) else "-"
         cells = [f"{c:.2f}" if isinstance(c, float) else c for c in (a, t)]
         print(f"{name:<28}{cells[0]:>12}{cells[1]:>12}{ratio:>8}")
