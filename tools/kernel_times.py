@@ -7,7 +7,7 @@ interior, an exterior and a boundary point, a boundary ``coderiv_cylinder``,
 ``gateaux_fd``, ``nonsmoothness_witness`` and one default ``test_membership``
 -- at n = 8, p = 3 with random weights and fixed inputs. Each tree is timed in
 a child process that imports its own ``src``: the working tree, and a ``git
-archive`` export of REV. The two trees alternate over ``--rounds`` rounds,
+archive`` export of REV. The two trees alternate over ``ROUNDS`` rounds,
 and the side that runs first alternates too. A kernel's time is the best of
 7 timeit repeats in a child, then the best over the rounds. Prints
 microseconds per call for both trees and the ratio REV / working tree, so a
@@ -32,6 +32,7 @@ import numpy as np
 from bench_pairs import ROOT, _export
 
 REPEATS = 7
+ROUNDS = 3
 # Calls per timeit repeat are chosen so that one repeat lasts about this long.
 REPEAT_SECONDS = 0.05
 
@@ -117,16 +118,13 @@ def _best(rounds: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", default="HEAD", help="git revision to compare with")
-    ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
 
     runs: dict[str, list[dict]] = {"against": [], "tree": []}
     with tempfile.TemporaryDirectory(prefix="kernel-times-") as tmp:
         trees = {"against": Path(tmp) / "against", "tree": ROOT}
         _export(args.against, trees["against"])
-        for i in range(args.rounds):
+        for i in range(ROUNDS):
             # Alternate which tree runs first, so a drifting machine favours neither.
             order = ("against", "tree") if i % 2 == 0 else ("tree", "against")
             for side in order:
@@ -135,7 +133,7 @@ def main(argv=None) -> int:
     best = {side: _best(rounds) for side, rounds in runs.items()}
     rev = subprocess.run(["git", "rev-parse", "--short", args.against], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
-    print(f"us per call, timeit best of {REPEATS} x {args.rounds} rounds, n = 8, p = 3")
+    print(f"us per call, timeit best of {REPEATS} x {ROUNDS} rounds, n = 8, p = 3")
     print(f"{'kernel':<28}{rev:>12}{'tree':>12}{'ratio':>8}")
     for name, a in best["against"].items():
         t = best["tree"][name]
