@@ -21,10 +21,10 @@ Each radius has a block of unit directions: the structured probes, then
 the random rows. The random rows come from one counter-based Philox block
 per (seed, radius index), so the draws do not depend on evaluation order,
 and the m rows drawn for m directions are the first m rows drawn for any
-larger count. The random rows of every radius are unitized in one
-row-norm pass. The probe points of every radius are stacked into one block
-and the quotient is one array pass over it; each radius then takes the
-first maximum of its own rows.
+larger count. One (radii, probes + m, n) block holds every radius's probe
+points: the random rows are unitized in one row-norm pass, a null row
+(norm <= theta_tol) is zeroed and masked instead of dropped, the quotient
+is one array pass, and each radius takes the first maximum of its rows.
 """
 
 from __future__ import annotations
@@ -34,26 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import Anchor, o_star
+from .decomposition import Anchor
 from .errors import DegenerateInputError, PreconditionError
-from .projections import (
-    ConvexSet,
-    Cylinder,
-    PositiveCone,
-    _mask_array,
-    _project_coords,
-)
-from .space import (
-    DualPoint,
-    PrimalPoint,
-    _expect,
-    _finite,
-    _is_int,
-    _norm,
-    _pair,
-    duality_map_inv,
-    is_theta,
-)
+from .projections import ConvexSet, Cylinder, PositiveCone, _mask_array, _project_coords
+from .space import DualPoint, PrimalPoint, _duality, _expect, _finite, _is_int, _norm, _pair
 
 
 @dataclass(frozen=True)
@@ -163,18 +147,26 @@ def structured_probes(
 ) -> np.ndarray:
     """Deterministic unit probe directions for the set and the query, as (k, n) rows.
 
-    The raw rays are stacked with their negatives (v0, -v0, v1, -v1, ...)
-    and unitized in one row-norm pass; rays of norm <= theta_tol are dropped.
+    The raw rays are built from the coordinate kernels, bit for bit as the
+    typed J*(y*), J*(x*) and J*(o*(y*)) would give them, and unitized in one
+    row-norm pass; rays of norm <= theta_tol are dropped. Each unit ray is
+    followed by its negative (v0, -v0, v1, -v1, ...).
     """
     _expect(xbar.space, PrimalPoint, xbar)
     _expect(xbar.space, DualPoint, xstar, ystar)
     sp = xbar.space
-    x = xbar.coords
-    jy = duality_map_inv(ystar).coords
-    jx = duality_map_inv(xstar).coords
+    w, x = sp.weights, xbar.coords
+
+    def jstar(c):
+        return _duality(c, sp.q, _norm(c, w, sp.q))
+
+    jy, jx = jstar(ystar.coords), jstar(xstar.coords)
     rays = [x, jy, jx]
-    if not is_theta(xbar):
-        rays.append(duality_map_inv(o_star(Anchor.at(xbar), ystar)).coords)
+    if _norm(x, w, sp.p) > sp.theta_tol:
+        # o*(y*) = y* - (<y*, xbar> / ||xbar||^2) J(xbar), as decomposition.o_star.
+        anchor = Anchor.at(xbar)
+        a = _pair(w, ystar.coords, x) / anchor.norm_sq
+        rays.append(jstar(ystar.coords - anchor.xbar_star.coords * a))
 
     if isinstance(set_, Cylinder):
         sel = _mask_array(set_.mask, sp.n)
@@ -193,19 +185,14 @@ def structured_probes(
         if over.any():
             rays.append(np.where(over, jx, 0.0))
 
-    rays += list(np.eye(sp.n))
-    rays = np.array(rays)
-    raw = np.stack([rays, -rays], axis=1).reshape(-1, sp.n)
-    return _unit_rows(sp, raw)[0]
-
-
-def _unit_rows(sp, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a (..., n) block scaled to unit norm in one row-norm pass,
-    as a (k, n) array, and the boolean (...) array of the rows kept: rows of
-    norm <= theta_tol are dropped before anything is divided."""
-    nrm = _norm(raw, sp.weights, sp.p)
+    # The rays above the coordinate axes.
+    raw = np.eye(len(rays) + sp.n, sp.n, -len(rays))
+    raw[:len(rays)] = rays
+    nrm = _norm(raw, w, sp.p)
     keep = nrm > sp.theta_tol
-    return raw[keep] * (1.0 / nrm[keep])[:, np.newaxis], keep
+    unit = raw[keep] * (1.0 / nrm[keep])[:, np.newaxis]
+    # -v has the norm of v, so its unit row is the negated unit row of v.
+    return np.concatenate([unit, -unit], axis=1).reshape(-1, sp.n)
 
 
 def _random_direction(sp, seed: int, radius_idx: int, m: int, bg=None) -> np.ndarray:
@@ -217,10 +204,9 @@ def _random_direction(sp, seed: int, radius_idx: int, m: int, bg=None) -> np.nda
     ``test_membership`` unitizes the rows of every radius in one pass.
     """
     bg = np.random.Philox() if bg is None else bg
-    bg.state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+    bg.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
                 "has_uint32": 0, "uinteger": 0,
-                "state": {"counter": np.array([0, 0, radius_idx, 0], np.uint64),
-                          "key": np.array([seed, 0], np.uint64)}}
+                "state": {"counter": (0, 0, radius_idx, 0), "key": (seed, 0)}}
     return np.random.Generator(bg).standard_normal((m, sp.n))
 
 
@@ -237,30 +223,39 @@ def test_membership(
     sp = xbar.space
     fixed = (structured_probes(set_, xbar, xstar, ystar) if cfg.structured_probes
              else np.empty((0, sp.n)))
-    if not len(fixed) and cfg.directions_per_radius == 0:
+    nf, m = len(fixed), cfg.directions_per_radius
+    if not nf and m == 0:
         raise PreconditionError("no probe directions: enable structured probes or random draws")
     px = _project_coords(set_, sp, xbar.coords)
-    bg = np.random.Philox()
-    draws = np.stack([_random_direction(sp, cfg.seed, ri, cfg.directions_per_radius, bg)
-                      for ri in range(len(cfg.radii))])
-    rand, keep = _unit_rows(sp, draws)
-    # The kept random rows of radius i follow those of the radii before it.
-    cuts = np.cumsum(keep.sum(axis=1))[:-1]
-    blocks = [np.vstack([fixed, rows]) for rows in np.split(rand, cuts)]
-    # Radius i owns rows bounds[i]:bounds[i + 1] of the one stacked block.
-    bounds = np.cumsum([0] + [len(b) for b in blocks]).tolist()
-    spans = list(zip(bounds, bounds[1:]))
-    u = np.vstack([xbar.coords + rho * b for rho, b in zip(cfg.radii, blocks)])
-    num, ndu, ndp = _quotient_rows(set_, xbar, px, xstar, ystar, u)
-    for rho, (lo, hi) in zip(cfg.radii, spans):
-        if not ndu[lo:hi].all():
-            raise DegenerateInputError(
-                f"radius {rho:g} is below the resolution of the base point's coordinates"
-            )
-    q = num / (ndu + ndp)
+    bg = np.random.Philox(0)  # seeded to skip the OS entropy read; every draw resets it
+    rand = np.empty((len(cfg.radii), m, sp.n))
+    for ri in range(len(cfg.radii)):
+        rand[ri] = _random_direction(sp, cfg.seed, ri, m, bg)
+    nrm = _norm(rand, sp.weights, sp.p)
+    live = np.ones((len(cfg.radii), nf + m), dtype=bool)
+    live[:, nf:] = nrm > sp.theta_tol
+    # A null row is scaled by 1 / inf = 0, so it probes xbar itself, and is masked.
+    rand *= (1.0 / np.where(live[:, nf:], nrm, np.inf))[..., np.newaxis]
+    # Row j of radius i: u[i, j] = xbar + rho_i * d_j, the probes first.
+    radii = np.array(cfg.radii)[:, np.newaxis, np.newaxis]
+    u = np.empty((len(cfg.radii), nf + m, sp.n))
+    np.multiply(radii, fixed, out=u[:, :nf])
+    np.multiply(radii, rand, out=u[:, nf:])
+    u += xbar.coords
+    rows = _quotient_rows(set_, xbar, px, xstar, ystar, u.reshape(-1, sp.n))
+    num, ndu, ndp = (a.reshape(live.shape) for a in rows)
+    stuck = (live & (ndu == 0.0)).any(axis=1)
+    if stuck.any():
+        raise DegenerateInputError(f"radius {cfg.radii[stuck.argmax()]:g} is below the "
+                                   "resolution of the base point's coordinates")
+    usable = live.any(axis=1)
+    if not usable.all():
+        raise DegenerateInputError(f"radius {cfg.radii[usable.argmin()]:g} has no direction "
+                                   "of norm above theta_tol")
+    q = np.divide(num, ndu + ndp, out=np.full(live.shape, -np.inf), where=live)
     # The first maximum of each radius, as a scan keeping only strictly larger values.
-    best = [lo + int(np.argmax(q[lo:hi])) for lo, hi in spans]
-    maxima = [float(q[b]) for b in best]
+    best = q.argmax(axis=1)
+    maxima = q[np.arange(len(best)), best].tolist()
     rejected = (
         maxima[-1] >= cfg.reject_threshold
         and maxima[-2] >= cfg.reject_threshold
@@ -268,7 +263,7 @@ def test_membership(
     )
     if rejected:
         return RejectedWithWitness(
-            u=PrimalPoint(u[best[-1]], sp),
+            u=PrimalPoint(u[-1, best[-1]], sp),
             quotient=maxima[-1],
             max_quotient_per_radius=tuple(maxima),
         )

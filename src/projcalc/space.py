@@ -183,7 +183,10 @@ def _norm(coords: np.ndarray, weights: np.ndarray, exponent: float):
     block is bit-identical to the same point on its own. Raises when a norm
     overflows.
     """
-    sums = np.add.reduce(weights * np.abs(coords) ** exponent, axis=-1)
+    terms = np.abs(coords)
+    terms **= exponent  # in place: a block allocates one array, not three
+    terms *= weights
+    sums = np.add.reduce(terms, axis=-1)
     inv = 1.0 / exponent
     if sums.ndim == 0:
         root = float(sums) ** inv

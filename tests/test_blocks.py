@@ -502,6 +502,56 @@ def test_degenerate_radius_is_the_first_with_a_zero_row():
         assert messages[0].startswith("radius 0.001 is below the resolution")
 
 
+def _null_rows_draw(null):
+    """A ``_random_direction`` whose rows ``null[ri]`` of radius ri are exact zeros."""
+    draw = _random_direction
+
+    def stub(sp, seed, radius_idx, m, bg=None):
+        rows = draw(sp, seed, radius_idx, m, bg)
+        rows[null.get(radius_idx, [])] = 0.0
+        return rows
+
+    return stub
+
+
+@pytest.mark.parametrize("probes", [True, False], ids=["probes", "no-probes"])
+@pytest.mark.parametrize("kind", SET_KINDS)
+def test_null_random_rows_are_masked_as_the_loop_drops_them(kind, probes, monkeypatch):
+    # Rows at the front, middle and end of radius 1 and of the witness's radius.
+    stub = _null_rows_draw({1: [0, 7, 47], 4: [3, 4, 20, 47]})
+    monkeypatch.setattr(pc.oracle, "_random_direction", stub)
+    monkeypatch.setitem(globals(), "_random_direction", stub)
+    sp, set_, rng = _case(3.0, "random", kind)
+    cfg = OracleConfig(directions_per_radius=48, seed=7, structured_probes=probes)
+    kinds = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for xbar, xstar, ystar in _oracle_queries(sp, set_, kind, rng):
+            got = pc.test_membership(set_, xbar, xstar, ystar, cfg)
+            assert _verdict_bits(got) == _verdict_bits(
+                _ref_test_membership(set_, xbar, xstar, ystar, cfg))
+            kinds.add(type(got))
+    if kind == "ball":
+        assert kinds == {NotRejected, RejectedWithWitness}
+
+
+def test_a_radius_with_every_random_row_null(monkeypatch):
+    sp, set_, rng = _case(3.0, "ones", "ball")
+    stub = _null_rows_draw({4: slice(None)})
+    monkeypatch.setattr(pc.oracle, "_random_direction", stub)
+    monkeypatch.setitem(globals(), "_random_direction", stub)
+    xbar, xstar, ystar = _oracle_queries(sp, set_, "ball", rng)[-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The probes alone still give the radius its directions.
+        cfg = OracleConfig(directions_per_radius=16)
+        assert _verdict_bits(pc.test_membership(set_, xbar, xstar, ystar, cfg)) == _verdict_bits(
+            _ref_test_membership(set_, xbar, xstar, ystar, cfg))
+        with pytest.raises(DegenerateInputError, match="radius 1e-05 has no direction"):
+            pc.test_membership(set_, xbar, xstar, ystar, OracleConfig(
+                directions_per_radius=16, structured_probes=False))
+
+
 SCALE_EXPONENTS = (-300, -150, -20, 0, 20, 150, 300)
 
 

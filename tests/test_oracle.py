@@ -265,6 +265,39 @@ class TestDrawContract:
         pc.test_membership(*self._query(rng))
         assert len(made) == 1
 
+    @pytest.mark.parametrize("probes", [True, False])
+    def test_one_verdict_calls_the_probes_once_and_draws_each_radius_in_order(
+            self, rng, monkeypatch, probes):
+        # perfbench's tracer counts both: oracle.draw and oracle.directions_per_op.
+        calls = []
+        oracle, probe, draw = pc.oracle, pc.oracle.structured_probes, _random_direction
+
+        def probe_spy(*args):
+            calls.append("probes")
+            return probe(*args)
+
+        def draw_spy(sp, seed, radius_idx, m, bg=None):
+            calls.append(radius_idx)
+            return draw(sp, seed, radius_idx, m, bg)
+
+        monkeypatch.setattr(oracle, "structured_probes", probe_spy)
+        monkeypatch.setattr(oracle, "_random_direction", draw_spy)
+        cfg = pc.OracleConfig(directions_per_radius=8, structured_probes=probes)
+        pc.test_membership(*self._query(rng), cfg)
+        assert calls == ["probes"] * probes + list(range(len(cfg.radii)))
+
+    def test_the_first_of_tied_maxima_is_the_witness(self, monkeypatch):
+        # Inside the ball P(u) = u, so the quotient of the query (theta*, -e0)
+        # is d_0 / 2 for a unit d: the mirror rows tie bit for bit at 0.3.
+        sp = pc.SpaceConfig(n=4, p=2.0)
+        rows = np.array([[0.0, 0.0, 1.0, 0.0], [0.6, 0.8, 0.0, 0.0], [0.6, -0.8, 0.0, 0.0]])
+        monkeypatch.setattr(pc.oracle, "_random_direction", lambda sp, s, ri, m, bg=None: rows)
+        xb = sp.primal([0.1, 0.0, 0.0, 0.0])
+        cfg = pc.OracleConfig(directions_per_radius=3, structured_probes=False)
+        v = pc.test_membership(pc.Ball(1.0), xb, sp.zero_dual(), sp.dual([-1.0, 0, 0, 0]), cfg)
+        assert isinstance(v, pc.RejectedWithWitness)
+        assert v.u.coords[1] > 0.0  # rows[1], not its mirror rows[2]
+
     @pytest.mark.parametrize("seed", [0, 5, 2**63, 2**64 - 1])
     def test_a_reset_philox_draws_what_a_new_one_does(self, seed):
         sp = pc.SpaceConfig(n=4, p=3.0)

@@ -4,15 +4,18 @@ Times one call of each library kernel -- typed point construction, ``x - y``,
 ``norm_primal``, ``duality_map``, ``duality_map_inv``, ``project`` on each of
 the four sets, an exterior ``frechet_apply``, ``coderiv_ball`` at an
 interior, an exterior and a boundary point, a boundary ``coderiv_cylinder``,
-``gateaux_fd``, ``nonsmoothness_witness`` and one default ``test_membership``
--- at n = 8, p = 3 with random weights and fixed inputs. Each tree is timed in
+``gateaux_fd``, ``nonsmoothness_witness`` and one ``test_membership`` with the
+default 256 and with 32 directions per radius (the oracle suites' count) -- at
+n = 8, p = 3 with random weights and fixed inputs. Each tree is timed in
 a child process that imports its own ``src``: the working tree, and a ``git
 archive`` export of REV. The two trees alternate over ``ROUNDS`` rounds,
 and the side that runs first alternates too. A kernel's time is the best of
-7 timeit repeats in a child, then the best over the rounds. Prints
-microseconds per call for both trees and the ratio REV / working tree, so a
-ratio above 1 means the working tree is faster. A kernel that raises in a
-tree is shown with the exception's name.
+7 timeit repeats in a child. Prints microseconds per call for both trees,
+each as the best over the rounds and the min-max range of the rounds, and
+the ratio REV / working tree of the best times, so a ratio above 1 means the
+working tree is faster. When the two ranges overlap, the ratio is marked
+unresolved: the difference is within the rounds' noise. A kernel that raises
+in a tree is shown with the exception's name.
 
     python3 tools/kernel_times.py --against HEAD~1
 """
@@ -55,6 +58,7 @@ def _kernels() -> dict:
     jx = pc.duality_map(x)
     x_in, x_out, xb = (point_at_norm(sp, ball, rng, t * r) for t in (0.5, 1.6, 1.0))
     xc_b = point_at_norm(sp, cyl, rng, r)
+    m32 = pc.OracleConfig(directions_per_radius=32)
     kernels = {
         "point": lambda: sp.primal(coords),
         "x - y": lambda: x - y,
@@ -73,6 +77,7 @@ def _kernels() -> dict:
         "gateaux_fd exterior": lambda: pc.gateaux_fd(ball, x_out, v),
         "nonsmoothness_witness": lambda: pc.nonsmoothness_witness(ball, xb),
         "test_membership": lambda: pc.test_membership(ball, x_out, sp.zero_dual(), ys),
+        "test_membership m=32": lambda: pc.test_membership(ball, x_out, sp.zero_dual(), ys, m32),
     })
     return kernels
 
@@ -103,16 +108,23 @@ def _time_tree(tree: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _best(rounds: list[dict]) -> dict:
-    """Per kernel, the least time over the rounds, or the name of the
-    exception a round raised."""
+def _spread(rounds: list[dict]) -> dict:
+    """Per kernel, the (least, greatest) time over the rounds, or the name of
+    the exception a round raised."""
     out = {}
     for name in rounds[0]:
         vals = [r[name] for r in rounds]
         nums = [t for t in vals if isinstance(t, float)]
-        out[name] = min(nums) if len(nums) == len(vals) else next(
+        out[name] = (min(nums), max(nums)) if len(nums) == len(vals) else next(
             t for t in vals if not isinstance(t, float))
     return out
+
+
+def _cells(side) -> str:
+    """One tree's best time and min-max range, or the exception's name."""
+    if isinstance(side, str):
+        return f"{side:>10}{'':>17}"
+    return f"{side[0]:>10.2f}{f'{side[0]:.2f}-{side[1]:.2f}':>17}"
 
 
 def main(argv=None) -> int:
@@ -130,16 +142,18 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(_time_tree(trees[side]))
 
-    best = {side: _best(rounds) for side, rounds in runs.items()}
+    spread = {side: _spread(rounds) for side, rounds in runs.items()}
     rev = subprocess.run(["git", "rev-parse", "--short", args.against], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
-    print(f"us per call, timeit best of {REPEATS} x {ROUNDS} rounds, n = 8, p = 3")
-    print(f"{'kernel':<28}{rev:>12}{'tree':>12}{'ratio':>8}")
-    for name, a in best["against"].items():
-        t = best["tree"][name]
-        ratio = f"{a / t:.2f}" if isinstance(a, float) and isinstance(t, float) else "-"
-        cells = [f"{c:.2f}" if isinstance(c, float) else c for c in (a, t)]
-        print(f"{name:<28}{cells[0]:>12}{cells[1]:>12}{ratio:>8}")
+    print(f"us per call, timeit best of {REPEATS} x {ROUNDS} rounds (min-max of the rounds),"
+          " n = 8, p = 3")
+    print(f"{'kernel':<27}{rev:>10}{'range':>17}{'tree':>10}{'range':>17}{'ratio':>8}")
+    for name, a in spread["against"].items():
+        t = spread["tree"][name]
+        timed = isinstance(a, tuple) and isinstance(t, tuple)
+        ratio = f"{a[0] / t[0]:.2f}" if timed else "-"
+        mark = "  unresolved" if timed and a[0] <= t[1] and t[0] <= a[1] else ""
+        print(f"{name:<27}{_cells(a)}{_cells(t)}{ratio:>8}{mark}")
     return 0
 
 
