@@ -11,10 +11,12 @@ where the ball is the cylinder whose mask M is every coordinate.
 
 On the boundary no linear derivative exists; ``nonsmoothness_witness``
 exhibits a direction v whose one-sided difference quotients fail the odd
-symmetry P'(v) = -P'(-v) by a definite margin.
+symmetry P'(v) = -P'(-v) by a definite margin. It probes only the rays the
+closed forms say can decide: xbar and xbar_M on a ball or cylinder, the
+axes on the cone.
 
 Finite differences are array passes: ``gateaux_fd`` projects every step of
-its schedule as one block, and the witness search projects every probe ray,
+its schedule as one block, and the witness search projects its probe rays,
 forward and backward, at the schedule's last step alone, as one block.
 
 Boundary directions split into an "up" set (the masked norm exceeds r for
@@ -154,36 +156,29 @@ def _difference_quotients(set_: ConvexSet, x: PrimalPoint, v: np.ndarray,
 
 
 def nonsmoothness_witness(set_: ConvexSet, xbar: PrimalPoint) -> Witness | None:
-    """Search a fixed list of probe rays for a direction certifying that no
-    linear derivative exists at xbar: the point, a cylinder point's nonzero
-    masked part, every axis, and the cylinder's masked axes once more.
-
-    The defect of a probe ray v is ||P'(xbar; v) + P'(xbar; -v)||, each side
-    estimated by the difference quotient at the last step of
-    ``DEFAULT_SCHEDULE``; a linear derivative would make it vanish. Every
-    ray, forward and backward, is one (2, rays, 1, n) block of quotients; -v
-    needs no probe of its own, as its defect equals that of v bit for bit.
-    Returns the first ray in list order with defect >= 0.1 ||v||, or None if
-    no ray qualifies (which indicates the point is not genuinely nonsmooth).
+    """The first probe ray v certifying that no linear derivative exists at
+    xbar: its defect ||P'(xbar; v) + P'(xbar; -v)||, each side the quotient
+    at the last step of ``DEFAULT_SCHEDULE``, is >= 0.1 ||v||. The rays are
+    the ones the closed forms say can decide. On a ball or cylinder: xbar,
+    then xbar_M (for a ball the same row), as P(xbar + t xbar_M) = xbar and
+    P(xbar - t xbar_M) = xbar - t xbar_M give xbar_M the defect ||xbar_M||
+    at every scale. On the cone: the n axes, as P is positively homogeneous
+    and xbar is a smooth direction. None if no ray qualifies (the point is
+    then not genuinely nonsmooth).
     """
     sp = xbar.space
     _expect(sp, PrimalPoint, xbar)
-    eye = np.eye(sp.n)
-    rays = [xbar.coords] if not is_theta(xbar) else []
-    masked_axes = []
     if isinstance(set_, (Ball, Cylinder)):
-        _, sel, xm, nrm, kind = _region(set_, xbar)
+        _, _, xm, _, kind = _region(set_, xbar)
         if kind is not RegionKind.BOUNDARY:
             raise NotOnBoundaryError("nonsmoothness witnesses live on the boundary")
-        if isinstance(set_, Cylinder):
-            rays += [xm] if nrm > sp.theta_tol else []
-            masked_axes = list(eye[sel])
+        probes = np.array([xbar.coords, xm])
     elif isinstance(set_, PositiveCone):
         if not np.any(np.abs(xbar.coords) <= sp.theta_tol):
             raise NotOnBoundaryError("cone witnesses need at least one zero coordinate")
+        probes = np.eye(sp.n)
     else:
         raise UnsupportedSetError("the subspace projection is linear, hence smooth")
-    probes = np.array(rays + list(eye) + masked_axes)
     limits = _difference_quotients(set_, xbar, np.stack([probes, -probes]), _STEPS[-1:])
     defects = _norm(limits[0, :, 0] + limits[1, :, 0], sp.weights, sp.p)
     hits = np.flatnonzero(defects >= 0.1 * _norm(probes, sp.weights, sp.p))

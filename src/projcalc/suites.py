@@ -341,7 +341,7 @@ def _optimality(env: Env, set_):
     worst_dist = -np.inf
     worst_resid = np.inf
     fixed_ok = True
-    for _ in range(ns):
+    for i in range(ns):
         x = _rand_primal(sp, rng, scale=2.0)
         u = pj.project(set_, x)
         uu = pj.project(set_, u)
@@ -351,7 +351,10 @@ def _optimality(env: Env, set_):
         du = spc.norm_primal(x - u)
         dz = spc._norm(x.coords - zs, sp.weights, sp.p)
         worst_dist = max(worst_dist, float(np.max(du - dz)))
-        worst_resid = min(worst_resid, pj._residual_rows(set_, sp, x.coords, u.coords, zs))
+        # The first sample calls the public op on typed points: the same bits.
+        resid = (pj.variational_residual(set_, x, u, [sp.primal(z) for z in zs]) if i == 0
+                 else pj._residual_rows(set_, sp, x.coords, u.coords, zs))
+        worst_resid = min(worst_resid, resid)
     ok = fixed_ok and worst_dist <= env.tol(1e-9) and worst_resid >= -env.tol(1e-8)
     return ok, {"worst_distance_gap": worst_dist, "worst_residual": worst_resid}
 

@@ -401,11 +401,9 @@ def test_witness_differences_each_ray_once_per_sign_at_the_last_step(p, weights,
     for xb in _witness_points(sp, set_, kind, rng):
         calls.clear()
         pc.nonsmoothness_witness(set_, xb)
-        # The point, a cylinder point's masked part, every axis, and the
-        # cylinder's masked axes once more.
-        rays = int(not pc.is_theta(xb)) + N
-        if isinstance(set_, pc.Cylinder):
-            rays += 1 + len(set_.mask)
+        # The point and its masked part on a ball or cylinder, the axes on
+        # the cone.
+        rays = N if kind == "cone" else 2
         [(shape, steps)] = calls
         assert shape == (2, rays, N)
         assert len(steps) == 1 and _bits(steps[0]) == _bits([[DEFAULT_SCHEDULE.steps[-1]]])

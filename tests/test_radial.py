@@ -188,6 +188,33 @@ def test_duality_kernels_are_positively_homogeneous(k, p):
         assert abs(c2.slope - lam * c1.slope) <= 1e-12 * lam * abs(c1.slope)
 
 
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0, 10.0])
+def test_witness_is_positively_homogeneous(p):
+    # At every scale lam = 10^k, k in [-20, 20], the witness at a ball or
+    # cylinder boundary point is the scaled xbar or xbar_M -- the same ray as
+    # at lam = 1 -- with defect >= 0.1 ||v|| that scales with lam: no
+    # absolute cutoff drops the probe rays of a small point.
+    sp = pc.SpaceConfig(n=4, p=p, weights=[0.5, 1.0, 1.5, 2.0])
+    x = np.array([1.5, -0.7, 0.3, 0.9])
+    for mask in (frozenset(range(4)), frozenset({0, 1, 3})):
+        sel = np.isin(np.arange(4), sorted(mask))
+        edge = x / pc.norm_primal(sp.primal(np.where(sel, x, 0.0)))
+        found = []
+        for k in range(-20, 21):
+            lam = 10.0**k
+            set_ = pc.Ball(lam) if len(mask) == 4 else pc.Cylinder(lam, mask)
+            xe = sp.primal(lam * edge)
+            w = pc.nonsmoothness_witness(set_, xe)
+            assert w is not None, k
+            rays = (xe.coords, np.where(sel, xe.coords, 0.0))
+            hits = [i for i, v in enumerate(rays) if np.array_equal(v, w.direction.coords)]
+            assert hits and w.defect >= 0.1 * pc.norm_primal(w.direction), k
+            found.append((hits[0], w.defect / lam))
+        ray, defect = found[20]
+        assert all(r == ray for r, _ in found)
+        assert all(abs(d - defect) <= 1e-6 * defect for _, d in found)
+
+
 @given(kf=st.integers(-20, 20), kp=st.integers(-20, 20))
 @example(kf=-13, kp=0)
 @example(kf=20, kp=-20)

@@ -8,7 +8,7 @@ import shlex
 import pytest
 
 import projcalc as pc
-from projcalc import coderivative, oracle
+from projcalc import coderivative, oracle, projections
 from projcalc.cli import main
 from projcalc.suites import ALL_OPS, SUITES, SuiteSpec, run_suite
 
@@ -83,6 +83,19 @@ def test_oracle_crosscheck_asks_the_oracle_at_most_25_times(monkeypatch):
     monkeypatch.setattr(oracle, "test_membership", lambda *a: calls.append(a) or ask(*a))
     run_suite(SuiteSpec("oracle-crosscheck", samples=10))
     assert len(calls) <= 25
+
+
+def test_projections_suite_calls_the_variational_residual_it_declares(monkeypatch):
+    # The optimality cases call the public op once each, on the first sample.
+    calls = []
+    residual = projections.variational_residual
+    monkeypatch.setattr(projections, "variational_residual",
+                        lambda *a: calls.append(a) or residual(*a))
+    summary = run_suite(SuiteSpec("projections", samples=10)).summary
+    assert "variational_residual" in summary["ops_covered"]
+    assert len(calls) == 4
+    assert all(len(zs) == 40 and all(isinstance(z, pc.PrimalPoint) for z in zs)
+               for _, _, _, zs in calls)
 
 
 @pytest.mark.parametrize("suite, density", [("coderiv-ball", 0.5), ("coderiv-cylinder", 1.0)],

@@ -4,8 +4,9 @@ Times one call of each library kernel -- typed point construction, ``x - y``,
 ``norm_primal``, ``duality_map``, ``duality_map_inv``, ``project`` on each of
 the four sets, an exterior ``frechet_apply``, ``coderiv_ball`` at an
 interior, an exterior and a boundary point, a boundary ``coderiv_cylinder``,
-``gateaux_fd``, ``nonsmoothness_witness`` and one ``test_membership`` with the
-default 256 and with 32 directions per radius (the oracle suites' count) -- at
+``gateaux_fd``, ``nonsmoothness_witness`` at a boundary point of the ball,
+the cylinder and the cone, and one ``test_membership`` with the default 256
+and with 32 directions per radius (the oracle suites' count) -- at
 n = 8, p = 3 with random weights and fixed inputs. Each tree is timed in
 a child process that imports its own ``src``: the working tree, and a ``git
 archive`` export of REV. The two trees alternate over ``ROUNDS`` rounds,
@@ -58,6 +59,7 @@ def _kernels() -> dict:
     jx = pc.duality_map(x)
     x_in, x_out, xb = (point_at_norm(sp, ball, rng, t * r) for t in (0.5, 1.6, 1.0))
     xc_b = point_at_norm(sp, cyl, rng, r)
+    x_pos = sp.primal(np.maximum(coords, 0.0))  # zero where coords < 0: on the cone's boundary
     m32 = pc.OracleConfig(directions_per_radius=32)
     kernels = {
         "point": lambda: sp.primal(coords),
@@ -75,7 +77,9 @@ def _kernels() -> dict:
         "coderiv_ball boundary": lambda: pc.coderiv_ball(r, xb, ys),
         "coderiv_cylinder boundary": lambda: pc.coderiv_cylinder(r, mask, xc_b, ys),
         "gateaux_fd exterior": lambda: pc.gateaux_fd(ball, x_out, v),
-        "nonsmoothness_witness": lambda: pc.nonsmoothness_witness(ball, xb),
+        "nonsmoothness_witness ball": lambda: pc.nonsmoothness_witness(ball, xb),
+        "nonsmoothness_witness cylinder": lambda: pc.nonsmoothness_witness(cyl, xc_b),
+        "nonsmoothness_witness cone": lambda: pc.nonsmoothness_witness(sets["cone"], x_pos),
         "test_membership": lambda: pc.test_membership(ball, x_out, sp.zero_dual(), ys),
         "test_membership m=32": lambda: pc.test_membership(ball, x_out, sp.zero_dual(), ys, m32),
     })
@@ -147,13 +151,13 @@ def main(argv=None) -> int:
                          capture_output=True, text=True).stdout.strip()
     print(f"us per call, timeit best of {REPEATS} x {ROUNDS} rounds (min-max of the rounds),"
           " n = 8, p = 3")
-    print(f"{'kernel':<27}{rev:>10}{'range':>17}{'tree':>10}{'range':>17}{'ratio':>8}")
+    print(f"{'kernel':<31}{rev:>10}{'range':>17}{'tree':>10}{'range':>17}{'ratio':>8}")
     for name, a in spread["against"].items():
         t = spread["tree"][name]
         timed = isinstance(a, tuple) and isinstance(t, tuple)
         ratio = f"{a[0] / t[0]:.2f}" if timed else "-"
         mark = "  unresolved" if timed and a[0] <= t[1] and t[0] <= a[1] else ""
-        print(f"{name:<27}{_cells(a)}{_cells(t)}{ratio:>8}{mark}")
+        print(f"{name:<31}{_cells(a)}{_cells(t)}{ratio:>8}{mark}")
     return 0
 
 

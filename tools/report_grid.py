@@ -13,7 +13,9 @@ six runs at radii where some cases raise, ``--samples 10`` with ``--r``
 where ||xbar_M||^2 leaves the float range but ||xbar_M|| does not; each
 exits 1 by design, so they are counted apart from the grid. Then runs a
 fixed list of ``projcalc oracle`` and ``projcalc witness`` commands in both
-trees and compares their exit code, stdout and stderr.
+trees and compares their exit code, stdout and stderr; two of them ask
+for a ball and a cylinder witness at ``--r 1e-20``, where a boundary point
+must still get a witness.
 Prints every pair that differs, and exits 1 if any does. A run that ends
 without a report on one side (a traceback) is named and left out of the
 case tally. After the totals, names each case whose status, metrics,
@@ -65,8 +67,9 @@ RAISING_RUNS = [["--samples", "10", "--r", r] for r in ("1e-170", "1e-20", "1e20
 
 # The README examples; an oracle query for each set; a cone query with a
 # negative dual at a negative coordinate, where theta* is a member; a
-# boundary witness for each set; and a witness at an interior point, which
-# is an error.
+# boundary witness for each set; a witness at an interior point, which is
+# an error; and a ball and a cylinder witness at radius 1e-20, where no
+# absolute cutoff may drop the probe rays.
 COMMANDS = [
     ["oracle", "--set", "ball", "--point", "[1, 0]", "--xstar", "[0, 0]", "--ystar", "[0, 1]",
      "--p", "2.0"],
@@ -83,6 +86,9 @@ COMMANDS = [
     ["witness", "--set", "cylinder", "--p", "3", "--mask", "0", "--point", "[1, 2]"],
     ["witness", "--set", "cone", "--p", "3", "--point", "[0, -1, 2]"],
     ["witness", "--set", "ball", "--point", "[0.5, 0]"],
+    ["witness", "--set", "ball", "--p", "3", "--r", "1e-20", "--point", "[1e-20, 0]"],
+    ["witness", "--set", "cylinder", "--p", "3", "--mask", "0", "--r", "1e-20", "--point",
+     "[1e-20, 2]"],
 ]
 
 
